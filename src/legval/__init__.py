@@ -52,7 +52,6 @@ from .predictors import (
     recurrence_step,
 )
 from .sequences import (
-    EvalCache,
     SequenceKind,
     SequenceSpec,
     central_delannoy,

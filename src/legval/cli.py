@@ -451,6 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values outgrow CPython's default int-to-str digit limit
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -459,6 +463,9 @@ def main(argv: list[str] | None = None) -> int:
     except BFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entry() -> None:

@@ -13,10 +13,16 @@ intermediate rational reductions happen.  Binomial coefficients are updated
 incrementally along k (ratio updates, exact integer divisions); powers are
 running products, giving O(n) large-integer multiplications per evaluation.
 
-For batch work (valuation tables, verification sweeps) the ``iter_sequence_*``
-generators walk a whole index range in O(1) big-integer operations per step
-using scaled three-term recurrences; they agree with the direct formulas and
-are cross-checked against them in the test suite.
+For batch work (valuation tables, verification sweeps) every kind is one
+record in ``_KINDS``: the summation above that gives a scaled integer U_n,
+the base B with value_n = U_n / B**n, and the coefficients of a three-term
+recurrence for U_n.  One stepper walks any index range from two direct
+seeds in O(1) big-integer operations per step.  ``eval_sequence`` reads a
+record's summation and base; the ``iter_sequence_*`` generators are views
+over the stepper.  The cube-weighted sum has
+no certified recurrence yet and is summed at every index.  The direct
+formulas stay the independent oracle the test suite checks the stepper
+against.
 """
 
 from __future__ import annotations
@@ -26,14 +32,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .arith import INF, PadicVal, Prime, vp_int
 
 __all__ = [
     "SequenceKind",
     "SequenceSpec",
-    "EvalCache",
     "legendre_eval_binomial",
     "legendre_eval_rodrigues",
     "legendre_eval_square_form",
@@ -126,32 +131,6 @@ class SequenceSpec:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed evaluation point in {text!r}") from exc
         return cls(kind, r)
-
-
-class EvalCache:
-    """Bounded memo for point evaluations, keyed by (spec, n).
-
-    Eviction is FIFO.  Concurrent readers are safe; concurrent writers may
-    race but only ever insert identical values for a given key (evaluation
-    is deterministic), so the cache never holds a wrong entry.
-    """
-
-    def __init__(self, max_entries: int):
-        if max_entries <= 0:
-            raise ValueError("cache budget must be positive")
-        self.max_entries = max_entries
-        self._store: dict[tuple[SequenceSpec, int], Fraction] = {}
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def lookup(self, spec: SequenceSpec, n: int) -> Fraction | None:
-        return self._store.get((spec, n))
-
-    def insert(self, spec: SequenceSpec, n: int, value: Fraction) -> None:
-        if (spec, n) not in self._store and len(self._store) >= self.max_entries:
-            self._store.pop(next(iter(self._store)))
-        self._store[(spec, n)] = value
 
 
 def _require_nonneg(n: int) -> None:
@@ -298,170 +277,120 @@ def cube_sum_2k(n: int) -> int:
     return total
 
 
-def eval_sequence(spec: SequenceSpec, n: int, cache: EvalCache | None = None) -> Fraction:
-    """Exact value of the selected sequence at index n."""
-    _require_nonneg(n)
-    if cache is not None:
-        hit = cache.lookup(spec, n)
-        if hit is not None:
-            return hit
-    kind = spec.kind
-    if kind is SequenceKind.LEGENDRE:
-        value = legendre_eval_rodrigues(n, spec.r)
-    elif kind is SequenceKind.Q:
-        value = q_eval(n, spec.r)
-    elif kind is SequenceKind.CIGLER:
-        value = cigler_eval(n, spec.r)
-    elif kind is SequenceKind.DELANNOY:
-        value = Fraction(central_delannoy(n))
-    elif kind is SequenceKind.DSUM:
-        value = Fraction(partial_sum_central_binomial(n))
-    else:
-        value = Fraction(cube_sum_2k(n))
-    if cache is not None:
-        cache.insert(spec, n, value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Batch iteration.
 #
-# P_n satisfies n*P_n(x) = (2n-1)*x*P_{n-1}(x) - (n-1)*P_{n-2}(x).  With
-# x = a/b the scaled values U_n = (2b)**n * P_n(a/b) are integers obeying
-#     n*U_n = 2a*(2n-1)*U_{n-1} - 4*b*b*(n-1)*U_{n-2},
-# and the Cigler scaling C_n = b**n * M_n(a/b) obeys
-#     n*C_n = a*(2n-1)*C_{n-1} - (2b-a)**2 * (n-1)*C_{n-2}.
-# Both divisions by n are exact.  Seeds for a mid-range start come from the
-# direct summation formulas, so range partitioning stays deterministic.
+# Each kind is one ``_Kind`` record in ``_KINDS``.  ``direct(n, r)`` is a
+# scaled integer U_n computed by the summations above, ``base(r)`` is the B
+# with value_n = U_n / B**n, and ``step(r)`` holds the coefficients of
+#     D(n)*U_n = A(n)*U_{n-1} + C(n)*U_{n-2}
+# as three pairs (c0, c1), each meaning c0 + c1*n.  With r = a/b:
+#
+#   legendre  U_n = (2b)**n * P_n(a/b), B = 2b.  Scaling Bonnet's
+#             n*P_n = (2n-1)*x*P_{n-1} - (n-1)*P_{n-2} gives
+#             n*U_n = 2a*(2n-1)*U_{n-1} - 4b**2*(n-1)*U_{n-2}.
+#   q         the same U_n with B = b, since Q_n = 2**n * P_n.
+#   cigler    U_n = b**n * M_n(a/b), B = b;
+#             n*U_n = a*(2n-1)*U_{n-1} - (2b-a)**2*(n-1)*U_{n-2}.
+#   delannoy  B = 1; n*U_n = 3*(2n-1)*U_{n-1} - (n-1)*U_{n-2}.
+#   dsum      B = 1; (n-1)*U_n = (5n-7)*U_{n-1} - 2*(2n-3)*U_{n-2}, because
+#             U_n - U_{n-1} = C(2n-2, n-1) = 2*(2n-3)/(n-1) * C(2n-4, n-2).
+#   cube2k    B = 1 and no step: summed directly at every index.  Its
+#             shortest known recurrence (order 3, cubic coefficients) is only
+#             fitted to terms, not certified, so it does not drive sweeps yet.
+#
+# Every division by D(n) is exact, and D(n) != 0 for n >= 2.  ``_iter_scaled``
+# takes the first two indices of any range from ``direct``, so a range split
+# into chunks yields the same integers as one sweep.
 # ---------------------------------------------------------------------------
 
+_Linear = tuple[int, int]  # (c0, c1) stands for c0 + c1*n
 
-def _iter_scaled_legendre(r: Fraction, start: int, stop: int) -> Iterator[int]:
-    """Yields U_n = (2b)**n * P_n(a/b) for n in [start, stop)."""
-    a, b = r.numerator, r.denominator
-    m1 = _rodrigues_parts(start - 1, r)[0] if start >= 1 else None
-    m2 = _rodrigues_parts(start - 2, r)[0] if start >= 2 else None
-    c1 = 2 * a
-    c2 = 4 * b * b
-    for n in range(start, stop):
-        if n == 0:
-            u = 1
-        elif n == 1:
-            u = c1
-        else:
-            t = c1 * (2 * n - 1) * m1 - c2 * (n - 1) * m2
-            u, rem = divmod(t, n)
-            assert rem == 0, "scaled Legendre recurrence lost exactness"
+
+@dataclass(frozen=True)
+class _Kind:
+    direct: Callable[[int, Fraction | None], int]
+    base: Callable[[Fraction | None], int]
+    step: Callable[[Fraction | None], tuple[_Linear, _Linear, _Linear] | None]
+
+
+def _rodrigues_step(r: Fraction) -> tuple[_Linear, _Linear, _Linear]:
+    a, bb = r.numerator, r.denominator**2
+    return (0, 1), (-2 * a, 4 * a), (4 * bb, -4 * bb)
+
+
+def _cigler_step(r: Fraction) -> tuple[_Linear, _Linear, _Linear]:
+    a, c = r.numerator, (2 * r.denominator - r.numerator) ** 2
+    return (0, 1), (-a, 2 * a), (c, -c)
+
+
+_KINDS = {
+    SequenceKind.LEGENDRE: _Kind(
+        direct=lambda n, r: _rodrigues_parts(n, r)[0],
+        base=lambda r: 2 * r.denominator,
+        step=_rodrigues_step,
+    ),
+    SequenceKind.Q: _Kind(
+        direct=lambda n, r: _rodrigues_parts(n, r)[0],
+        base=lambda r: r.denominator,
+        step=_rodrigues_step,
+    ),
+    SequenceKind.CIGLER: _Kind(
+        direct=lambda n, r: _cigler_parts(n, r)[0],
+        base=lambda r: r.denominator,
+        step=_cigler_step,
+    ),
+    SequenceKind.DELANNOY: _Kind(
+        direct=lambda n, r: central_delannoy(n),
+        base=lambda r: 1,
+        step=lambda r: ((0, 1), (-3, 6), (1, -1)),
+    ),
+    SequenceKind.DSUM: _Kind(
+        direct=lambda n, r: partial_sum_central_binomial(n),
+        base=lambda r: 1,
+        step=lambda r: ((-1, 1), (-7, 5), (6, -4)),
+    ),
+    SequenceKind.CUBE2K: _Kind(
+        direct=lambda n, r: cube_sum_2k(n),
+        base=lambda r: 1,
+        step=lambda r: None,
+    ),
+}
+
+
+def eval_sequence(spec: SequenceSpec, n: int) -> Fraction:
+    """Exact value of the selected sequence at index n."""
+    _require_nonneg(n)
+    kind = _KINDS[spec.kind]
+    return Fraction(kind.direct(n, spec.r), kind.base(spec.r) ** n)
+
+
+def _iter_scaled(spec: SequenceSpec, start: int, stop: int) -> Iterator[int]:
+    """Yields the scaled integers U_n for n in [start, stop)."""
+    if start < 0 or stop < start:
+        raise ValueError(f"bad index range [{start}, {stop})")
+    kind = _KINDS[spec.kind]
+    step = kind.step(spec.r)
+    seeded = stop if step is None else min(start + 2, stop)
+    m1 = m2 = None
+    for n in range(start, seeded):
+        m2, m1 = m1, kind.direct(n, spec.r)
+        yield m1
+    if step is None:
+        return
+    (d0, d1), (a0, a1), (c0, c1) = step
+    for n in range(seeded, stop):
+        u, rem = divmod((a0 + a1 * n) * m1 + (c0 + c1 * n) * m2, d0 + d1 * n)
+        assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
         yield u
         m2, m1 = m1, u
-
-
-def _iter_scaled_cigler(r: Fraction, start: int, stop: int) -> Iterator[int]:
-    """Yields C_n = b**n * M_n(a/b) for n in [start, stop)."""
-    a, b = r.numerator, r.denominator
-    m1 = _cigler_parts(start - 1, r)[0] if start >= 1 else None
-    m2 = _cigler_parts(start - 2, r)[0] if start >= 2 else None
-    c2 = (2 * b - a) ** 2
-    for n in range(start, stop):
-        if n == 0:
-            u = 1
-        elif n == 1:
-            u = a
-        else:
-            t = a * (2 * n - 1) * m1 - c2 * (n - 1) * m2
-            u, rem = divmod(t, n)
-            assert rem == 0, "scaled Cigler recurrence lost exactness"
-        yield u
-        m2, m1 = m1, u
-
-
-def _iter_delannoy(start: int, stop: int) -> Iterator[int]:
-    """Yields central Delannoy numbers for n in [start, stop)."""
-    m1 = central_delannoy(start - 1) if start >= 1 else None
-    m2 = central_delannoy(start - 2) if start >= 2 else None
-    for n in range(start, stop):
-        if n == 0:
-            u = 1
-        elif n == 1:
-            u = 3
-        else:
-            t = 3 * (2 * n - 1) * m1 - (n - 1) * m2
-            u, rem = divmod(t, n)
-            assert rem == 0, "Delannoy recurrence lost exactness"
-        yield u
-        m2, m1 = m1, u
-
-
-def _iter_dsum(start: int, stop: int) -> Iterator[int]:
-    total = partial_sum_central_binomial(start)
-    c = math.comb(2 * start, start)
-    for i in range(start, stop):
-        yield total
-        total += c
-        c = c * 2 * (2 * i + 1) // (i + 1)
-
-
-def _iter_cube2k(start: int, stop: int) -> Iterator[int]:
-    for n in range(start, stop):
-        yield cube_sum_2k(n)
 
 
 def iter_sequence_values(spec: SequenceSpec, stop: int, start: int = 0) -> Iterator[Fraction]:
     """Exact values for n in [start, stop), amortized O(1) big-int steps."""
-    if start < 0 or stop < start:
-        raise ValueError(f"bad index range [{start}, {stop})")
-    kind = spec.kind
-    if kind is SequenceKind.LEGENDRE:
-        tb = 2 * spec.r.denominator
-        for n, u in enumerate(_iter_scaled_legendre(spec.r, start, stop), start):
-            yield Fraction(u, tb**n)
-    elif kind is SequenceKind.Q:
-        b = spec.r.denominator
-        for n, u in enumerate(_iter_scaled_legendre(spec.r, start, stop), start):
-            yield Fraction(u, b**n)
-    elif kind is SequenceKind.CIGLER:
-        b = spec.r.denominator
-        for n, u in enumerate(_iter_scaled_cigler(spec.r, start, stop), start):
-            yield Fraction(u, b**n)
-    elif kind is SequenceKind.DELANNOY:
-        for u in _iter_delannoy(start, stop):
-            yield Fraction(u)
-    elif kind is SequenceKind.DSUM:
-        for u in _iter_dsum(start, stop):
-            yield Fraction(u)
-    else:
-        for u in _iter_cube2k(start, stop):
-            yield Fraction(u)
-
-
-def _scaled_iter_and_correction(
-    spec: SequenceSpec, p: Prime, start: int, stop: int
-) -> tuple[Iterator[int], int]:
-    """Integer iterator plus the per-index valuation shift it carries.
-
-    The n-th scaled integer satisfies vp(value_n) = vp(int_n) - n * shift.
-    """
-    kind = spec.kind
-    if kind is SequenceKind.LEGENDRE:
-        return (
-            _iter_scaled_legendre(spec.r, start, stop),
-            vp_int(p, 2 * spec.r.denominator).value,
-        )
-    if kind is SequenceKind.Q:
-        return (
-            _iter_scaled_legendre(spec.r, start, stop),
-            vp_int(p, spec.r.denominator).value,
-        )
-    if kind is SequenceKind.CIGLER:
-        return (
-            _iter_scaled_cigler(spec.r, start, stop),
-            vp_int(p, spec.r.denominator).value,
-        )
-    if kind is SequenceKind.DELANNOY:
-        return _iter_delannoy(start, stop), 0
-    if kind is SequenceKind.DSUM:
-        return _iter_dsum(start, stop), 0
-    return _iter_cube2k(start, stop), 0
+    base = _KINDS[spec.kind].base(spec.r)
+    for n, u in enumerate(_iter_scaled(spec, start, stop), start):
+        yield Fraction(u, base**n)
 
 
 def iter_sequence_valuations(
@@ -477,12 +406,9 @@ def iter_valuations_with_bits(
 ) -> Iterator[tuple[PadicVal, int]]:
     """Like ``iter_sequence_valuations`` but also reports each underlying
     integer's bit length, so callers can enforce a computation budget."""
-    if start < 0 or stop < start:
-        raise ValueError(f"bad index range [{start}, {stop})")
-    ints, shift = _scaled_iter_and_correction(spec, p, start, stop)
-    for n, u in enumerate(ints, start):
+    shift = vp_int(p, _KINDS[spec.kind].base(spec.r)).value
+    for n, u in enumerate(_iter_scaled(spec, start, stop), start):
         if u == 0:
             yield INF, 0
         else:
-            v = vp_int(p, u).value - n * shift
-            yield PadicVal(v), u.bit_length()
+            yield PadicVal(vp_int(p, u).value - n * shift), u.bit_length()

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -46,6 +47,26 @@ class TestEval:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "eval", "--seq", "delannoy", "--n", "5..2")
         assert code == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_value_beyond_int_str_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        n = 5620
+        code, out, _ = run(capsys, "eval", "--seq", "delannoy", "--n", str(n))
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        index, value = out.split()
+        assert index == str(n) and len(value) > 4300
+        # D(n) = sum of C(n,k)**2 * 2**k; C(n,k) = C(n,n-k) halves the comb calls
+        want = 0
+        for k in range(n // 2 + 1):
+            c2 = math.comb(n, k) ** 2
+            want += (c2 << k) + (c2 << (n - k) if 2 * k < n else 0)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(value) == want
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestValuate:

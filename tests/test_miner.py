@@ -98,9 +98,22 @@ class TestBuildTable:
         with pytest.raises(TableBudgetError):
             build_table(SequenceSpec.delannoy(), P3, 500, max_total_bits=100)
 
-    def test_jobs_deterministic(self):
-        serial = build_table(SequenceSpec.legendre(3), P3, 400)
-        parallel = build_table(SequenceSpec.legendre(3), P3, 400, jobs=3)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SequenceSpec.legendre(3),
+            SequenceSpec.q(Fraction(-7, 2)),
+            SequenceSpec.cigler(Fraction(5, 3)),
+            SequenceSpec.delannoy(),
+            SequenceSpec.dsum(),
+            SequenceSpec.cube2k(),
+        ],
+        ids=SequenceSpec.canonical,
+    )
+    def test_jobs_deterministic(self, spec):
+        # 486 indices in two chunks: the second starts at 243 = 3**5
+        serial = build_table(spec, P3, 485)
+        parallel = build_table(spec, P3, 485, jobs=2)
         assert serial == parallel
 
     def test_matches_oracle_values(self):

@@ -5,7 +5,6 @@ import pytest
 
 from legval.arith import INF, Prime
 from legval.sequences import (
-    EvalCache,
     SequenceKind,
     SequenceSpec,
     central_delannoy,
@@ -203,40 +202,33 @@ class TestEvalSequence:
         with pytest.raises(ValueError):
             eval_sequence(SequenceSpec.delannoy(), -1)
 
-    def test_cache(self):
-        cache = EvalCache(4)
-        spec = SequenceSpec.delannoy()
-        for n in (0, 1, 2, 3, 4, 5):
-            assert eval_sequence(spec, n, cache) == central_delannoy(n)
-        assert len(cache) == 4
-        assert eval_sequence(spec, 5, cache) == central_delannoy(5)
+
+ITER_SPECS = [
+    SequenceSpec.legendre(3),
+    SequenceSpec.legendre(Fraction(3, 5)),
+    SequenceSpec.legendre(2),
+    SequenceSpec.q(Fraction(-7, 2)),
+    SequenceSpec.cigler(3),
+    SequenceSpec.cigler(Fraction(5, 3)),
+    SequenceSpec.delannoy(),
+    SequenceSpec.dsum(),
+    SequenceSpec.cube2k(),
+]
 
 
 class TestIterators:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            SequenceSpec.legendre(3),
-            SequenceSpec.legendre(Fraction(3, 5)),
-            SequenceSpec.legendre(2),
-            SequenceSpec.q(Fraction(-7, 2)),
-            SequenceSpec.cigler(3),
-            SequenceSpec.cigler(Fraction(5, 3)),
-            SequenceSpec.delannoy(),
-            SequenceSpec.dsum(),
-            SequenceSpec.cube2k(),
-        ],
-    )
+    @pytest.mark.parametrize("spec", ITER_SPECS)
     def test_values_match_direct(self, spec):
         got = list(iter_sequence_values(spec, 60))
         want = [eval_sequence(spec, n) for n in range(60)]
         assert got == want
 
-    def test_offset_start_matches(self):
-        for spec in (SequenceSpec.legendre(Fraction(9, 4)), SequenceSpec.dsum()):
-            got = list(iter_sequence_values(spec, 50, start=37))
-            want = [eval_sequence(spec, n) for n in range(37, 50)]
-            assert got == want
+    @pytest.mark.parametrize("start", [1, 2, 3, 27, 37])
+    @pytest.mark.parametrize("spec", ITER_SPECS)
+    def test_offset_start_matches(self, spec, start):
+        got = list(iter_sequence_values(spec, 50, start=start))
+        want = [eval_sequence(spec, n) for n in range(start, 50)]
+        assert got == want
 
     def test_valuations_match_values(self):
         from legval.arith import vp_rat
