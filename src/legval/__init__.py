@@ -25,7 +25,6 @@ from .miner import (
     KernelRankEstimate,
     MinedRelation,
     RelationCandidate,
-    TableBudgetError,
     ValuationTable,
     build_table,
     estimate_kernel_rank,

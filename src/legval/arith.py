@@ -33,9 +33,11 @@ __all__ = [
 ]
 
 
-# Miller-Rabin with these witnesses is a proven-deterministic primality test
-# for every n below _MR_PROVEN_BOUND (Sorenson & Webster, 2015).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with these witnesses, the first 13 primes, is a
+# proven-deterministic primality test for every n below _MR_PROVEN_BOUND
+# (Sorenson & Webster, 2015).  The first 12 alone are fooled already by
+# 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
@@ -61,30 +63,25 @@ def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic primality check; never returns a probabilistic answer."""
+    """Deterministic primality check for n below ``_MR_PROVEN_BOUND``."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
-    if n < _MR_PROVEN_BOUND:
-        return _miller_rabin(n, _MR_WITNESSES)
-    # Beyond the proven witness bound, fall back to trial division: absurdly
-    # slow for huge inputs but never wrong.  Intended arguments fit in a
-    # machine word, where this branch is unreachable.
-    f = 41
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _miller_rabin(n, _MR_WITNESSES)
 
 
 class Prime(int):
-    """A prime number.  Constructing a non-prime raises ``ValueError``."""
+    """A prime number.  Constructing a non-prime, or any number at or above
+    ``_MR_PROVEN_BOUND`` (where primality is not proven), raises ``ValueError``."""
 
     def __new__(cls, value: int) -> "Prime":
         value = int(value)
+        if value >= _MR_PROVEN_BOUND:
+            raise ValueError(
+                f"{value} is at or above {_MR_PROVEN_BOUND}, the bound below which "
+                "primality is proven (Sorenson & Webster 2015)")
         if not _is_prime(value):
             raise ValueError(f"{value} is not a prime number")
         return super().__new__(cls, value)

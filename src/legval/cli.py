@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
+from typing import TextIO
 
-from .arith import Prime, format_rational, parse_rational
+from .arith import Prime, parse_rational
 from .miner import (
     DEFAULT_MIN_SUPPORT,
     ValuationTable,
@@ -48,10 +51,22 @@ from .predictors import (
 from .sequences import SequenceKind, SequenceSpec, iter_sequence_valuations, iter_sequence_values
 from .verify import THEOREM_IDS, UsageError, VerificationReport, run_verification
 
-PREDICTOR_IDS = (
-    "thm3", "thm3-oneline", "thm4", "thm4-digits", "thm4-rec", "thm5",
-    "q", "cigler", "conj1", "conj2", "strauss",
-)
+# predictor id: (the options it requires, its per-index function built from the
+# parsed --p and --r).  The predictor names are looked up when a command runs.
+_PREDICTORS = {
+    "thm3": (("p", "r"), lambda p, r: partial(predict_vp_legendre_general, PredictionContext(p, r))),
+    "thm3-oneline": (("p", "r"),
+                     lambda p, r: partial(predict_vp_legendre_general_oneline, PredictionContext(p, r))),
+    "thm4": (("p",), lambda p, r: partial(predict_vp_legendre_at_p_cases, p)),
+    "thm4-digits": (("p",), lambda p, r: partial(predict_vp_legendre_at_p_digits, p)),
+    "thm4-rec": (("p",), lambda p, r: partial(predict_by_recurrence, p)),
+    "thm5": ((), lambda p, r: predict_vp_legendre_at_2),
+    "q": (("p", "r"), lambda p, r: partial(predict_vp_Q, p, r)),
+    "cigler": (("p",), lambda p, r: partial(predict_vp_cigler, p)),
+    "conj1": ((), lambda p, r: predict_b_conjecture1),
+    "conj2": ((), lambda p, r: predict_cube_sum_v3),
+    "strauss": ((), lambda p, r: predict_strauss_shallit),
+}
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -79,64 +94,61 @@ def _prime(value: int) -> Prime:
 
 
 def _spec_from_args(args: argparse.Namespace) -> SequenceSpec:
-    kind = SequenceKind(args.seq)
-    r = getattr(args, "r", None)
     try:
-        if r is not None:
-            return SequenceSpec(kind, r)
-        return SequenceSpec(kind)
+        return SequenceSpec(SequenceKind(args.seq), args.r)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _timestamp(args: argparse.Namespace) -> str:
-    return "" if args.no_timestamp else datetime.now(timezone.utc).isoformat()
-
-
-class _Output:
+@contextmanager
+def _output(args: argparse.Namespace) -> Iterator[TextIO]:
     """Writes to --out or stdout."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._path = args.out
-
-    def __enter__(self) -> io.TextIOBase:
-        if self._path:
-            self._handle = open(self._path, "w", encoding="utf-8", newline="")
-            return self._handle
-        self._handle = None
-        return sys.stdout
-
-    def __exit__(self, *exc) -> None:
-        if self._handle is not None:
-            self._handle.close()
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
-def _emit(args: argparse.Namespace, fieldnames: list[str], rows: list[dict],
-          text_lines: list[str]) -> None:
-    with _Output(args) as out:
+def _emit(args: argparse.Namespace, fieldnames: list[str], rows: Iterable[dict],
+          text_lines: Iterable[str], *, stamped: bool = True) -> None:
+    """Writes ``text_lines`` in text format, else ``rows``; each is consumed
+    as it is written.  A stamped output carries the timestamp as a first
+    ``# generated-at`` line in text, as a last csv column that is always
+    present, and as a jsonl key that is dropped when empty."""
+    stamp = "" if args.no_timestamp or not stamped else datetime.now(timezone.utc).isoformat()
+    with _output(args) as out:
         if args.format == "text":
+            if stamp:
+                out.write(f"# generated-at {stamp}\n")
             for line in text_lines:
                 out.write(line + "\n")
         elif args.format == "csv":
+            if stamped:
+                fieldnames = fieldnames + ["timestamp"]
+                rows = ({**row, "timestamp": stamp} for row in rows)
             writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         else:
             for row in rows:
+                if stamp:
+                    row = {**row, "timestamp": stamp}
                 out.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _stream_rows(args: argparse.Namespace, column: str, pairs) -> None:
-    rows = [{"n": n, column: str(v)} for n, v in pairs]
-    text = [f"{row['n']} {row[column]}" for row in rows]
-    _emit(args, ["n", column], rows, text)
+def _stream_rows(args: argparse.Namespace, column: str, pairs: Iterable[tuple[int, object]]) -> None:
+    """Writes (n, value) pairs as they are computed, without a timestamp."""
+    rows = ({"n": n, column: str(v)} for n, v in pairs)
+    # only one of rows and the text lines is consumed, so pairs is read once
+    _emit(args, ["n", column], rows, (f"{row['n']} {row[column]}" for row in rows), stamped=False)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     lo, hi = _parse_range(args.n)
-    values = iter_sequence_values(spec, hi + 1, lo)
-    _stream_rows(args, "value", ((n, format_rational(v)) for n, v in zip(range(lo, hi + 1), values)))
+    # str of a Fraction is its exact 'num/den' form, as format_rational writes it
+    _stream_rows(args, "value", zip(range(lo, hi + 1), iter_sequence_values(spec, hi + 1, lo)))
     return 0
 
 
@@ -149,62 +161,15 @@ def cmd_valuate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _predictor_fn(args: argparse.Namespace):
-    name = args.predictor
-    p = _prime(args.p) if args.p is not None else None
-    r = args.r
-
-    def need_p() -> Prime:
-        if p is None:
-            raise UsageError(f"predictor {name} requires --p")
-        return p
-
-    def need_ctx() -> PredictionContext:
-        if p is None or r is None:
-            raise UsageError(f"predictor {name} requires --p and --r")
-        try:
-            return PredictionContext(p, r)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-    if name == "thm3":
-        ctx = need_ctx()
-        return lambda n: predict_vp_legendre_general(ctx, n)
-    if name == "thm3-oneline":
-        ctx = need_ctx()
-        return lambda n: predict_vp_legendre_general_oneline(ctx, n)
-    if name == "thm4":
-        pp = need_p()
-        return lambda n: predict_vp_legendre_at_p_cases(pp, n)
-    if name == "thm4-digits":
-        pp = need_p()
-        return lambda n: predict_vp_legendre_at_p_digits(pp, n)
-    if name == "thm4-rec":
-        pp = need_p()
-        return lambda n: predict_by_recurrence(pp, n)
-    if name == "thm5":
-        return predict_vp_legendre_at_2
-    if name == "q":
-        pp = need_p()
-        if r is None:
-            raise UsageError("predictor q requires --r")
-        return lambda n: predict_vp_Q(pp, r, n)
-    if name == "cigler":
-        pp = need_p()
-        return lambda n: predict_vp_cigler(pp, n)
-    if name == "conj1":
-        return predict_b_conjecture1
-    if name == "conj2":
-        return predict_cube_sum_v3
-    if name == "strauss":
-        return predict_strauss_shallit
-    raise UsageError(f"unknown predictor {name!r}")
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
-    fn = _predictor_fn(args)
-    lo, hi = _parse_range(args.n)
+    needs, make = _PREDICTORS[args.predictor]
+    p = _prime(args.p) if args.p is not None else None
+    if any({"p": p, "r": args.r}[name] is None for name in needs):
+        raise UsageError(f"predictor {args.predictor} requires "
+                         + " and ".join(f"--{name}" for name in needs))
     try:
+        fn = make(p, args.r)
+        lo, hi = _parse_range(args.n)
         pairs = [(n, fn(n)) for n in range(lo, hi + 1)]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -212,46 +177,35 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_rows(args: argparse.Namespace, report: VerificationReport) -> tuple[list[str], list[dict], list[str]]:
-    stamp = _timestamp(args)
+def _emit_report(args: argparse.Namespace, report: VerificationReport) -> int:
     params = " ".join(f"{k}={v}" for k, v in report.parameters.items())
-    fields = ["theorem", "parameters", "checked", "mismatch_count", "status", "timestamp"]
     row = {
         "theorem": report.theorem_id,
         "parameters": params,
         "checked": report.checked,
         "mismatch_count": len(report.mismatches),
         "status": report.status,
-        "timestamp": stamp,
     }
     if args.format == "jsonl":
-        row = dict(row)
         row["mismatches"] = [
             {"n": m.n, "predicted": m.predicted, "actual": m.actual, "detail": m.detail}
             for m in report.mismatches
         ]
-        if not stamp:
-            row.pop("timestamp")
-    text = []
-    if stamp:
-        text.append(f"# generated-at {stamp}")
-    text.append(
+    text = [
         f"{report.theorem_id} {params}: {report.status} "
-        f"({report.checked} checked, {len(report.mismatches)} mismatches)")
+        f"({report.checked} checked, {len(report.mismatches)} mismatches)"]
     for m in report.mismatches:
         extra = f" [{m.detail}]" if m.detail else ""
         text.append(f"  n={m.n} predicted={m.predicted} actual={m.actual}{extra}")
-    return fields, [row], text
+    _emit(args, ["theorem", "parameters", "checked", "mismatch_count", "status"], [row], text)
+    return 0 if report.passed else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n)
     p = _prime(args.p) if args.p is not None else None
-    report = run_verification(
-        args.theorem, lo, hi, p=p, r=args.r, jobs=args.jobs, against=args.against)
-    fields, rows, text = _report_rows(args, report)
-    _emit(args, fields, rows, text)
-    return 0 if report.passed else 1
+    return _emit_report(args, run_verification(
+        args.theorem, lo, hi, p=p, r=args.r, jobs=args.jobs, against=args.against))
 
 
 def _cached_table(args: argparse.Namespace, spec: SequenceSpec, p: Prime, N: int) -> ValuationTable:
@@ -285,37 +239,25 @@ def cmd_mine(args: argparse.Namespace) -> int:
         mined = mine_relations(table, args.max_e, args.min_support, c_bound=c_bound)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    stamp = _timestamp(args)
     meta = (
         f"spec={spec.canonical()} p={int(p)} N={N} max_e={args.max_e} "
         f"min_support={args.min_support} c_bound={c_bound}")
-    fields = ["relation", "e", "i", "e2", "j", "c", "support", "violations", "skipped", "timestamp"]
+    fields = ["relation", "e", "i", "e2", "j", "c", "support", "violations", "skipped"]
     rows = []
+    if args.format == "jsonl":
+        rows.append({"record": "metadata", "search": meta,
+                     "note": "search bounds are artifact-chosen defaults"})
+    text = [f"# mining {meta} (search bounds are artifact-chosen defaults)"]
     for rel in mined:
         c = rel.candidate
+        relation = format_relation(c, p)
         rows.append({
-            "relation": format_relation(c, p),
+            "relation": relation,
             "e": c.e, "i": c.i, "e2": c.e2, "j": c.j, "c": c.c,
             "support": rel.support, "violations": rel.violations,
-            "skipped": rel.skipped, "timestamp": stamp,
+            "skipped": rel.skipped,
         })
-    if args.format == "jsonl":
-        head = {"record": "metadata", "search": meta,
-                "note": "search bounds are artifact-chosen defaults"}
-        if stamp:
-            head["timestamp"] = stamp
-        for row in rows:
-            if not stamp:
-                row.pop("timestamp")
-        rows = [head] + rows
-    text = []
-    if stamp:
-        text.append(f"# generated-at {stamp}")
-    text.append(f"# mining {meta} (search bounds are artifact-chosen defaults)")
-    for rel in mined:
-        text.append(
-            f"{format_relation(rel.candidate, p)}   "
-            f"[support={rel.support} skipped={rel.skipped}]")
+        text.append(f"{relation}   [support={rel.support} skipped={rel.skipped}]")
     if not mined:
         text.append("# no relations found")
     _emit(args, fields, rows, text)
@@ -334,24 +276,19 @@ def cmd_rank(args: argparse.Namespace) -> int:
         raise UsageError(f"--N too small: rank needs indices up to {needed}")
     table = _cached_table(args, spec, p, N)
     est = estimate_kernel_rank(table, args.max_e, args.prefix_len)
-    stamp = _timestamp(args)
     basis = " ".join(f"({e},{i})" for e, i in est.basis_labels)
     dropped = " ".join(f"({e},{i})" for e, i in est.dropped)
-    fields = ["spec", "p", "max_e", "prefix_len", "rank", "basis", "dropped", "timestamp"]
+    fields = ["spec", "p", "max_e", "prefix_len", "rank", "basis", "dropped"]
     row = {
         "spec": spec.canonical(), "p": int(p), "max_e": est.max_e,
         "prefix_len": est.prefix_len, "rank": est.rank,
-        "basis": basis, "dropped": dropped, "timestamp": stamp,
+        "basis": basis, "dropped": dropped,
     }
-    if args.format == "jsonl" and not stamp:
-        row.pop("timestamp")
-    text = []
-    if stamp:
-        text.append(f"# generated-at {stamp}")
-    text.append(
+    text = [
         f"rank {spec.canonical()} p={int(p)} max_e={est.max_e} "
-        f"prefix_len={est.prefix_len}: {est.rank}")
-    text.append(f"  basis: {basis}")
+        f"prefix_len={est.prefix_len}: {est.rank}",
+        f"  basis: {basis}",
+    ]
     if dropped:
         text.append(f"  dropped (infinite entries): {dropped}")
     _emit(args, fields, [row], text)
@@ -361,10 +298,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_oeis_check(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     p = _prime(args.p) if args.p is not None else None
-    report = oeis_check(spec, args.bfile, p=p, offset=args.offset, limit=args.limit)
-    fields, rows, text = _report_rows(args, report)
-    _emit(args, fields, rows, text)
-    return 0 if report.passed else 1
+    return _emit_report(args, oeis_check(spec, args.bfile, p=p, offset=args.offset, limit=args.limit))
 
 
 def _add_seq_options(sub: argparse.ArgumentParser) -> None:
@@ -384,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical output")
     parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker processes for table sweeps")
+                        help="worker processes for table sweeps, at most the usable CPUs")
     parser.add_argument("--cache", metavar="DIR",
                         help="directory for persisted valuation tables (mine/rank)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -401,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_valuate)
 
     s = sub.add_parser("predict", help="closed-form valuation predictions")
-    s.add_argument("--predictor", required=True, choices=PREDICTOR_IDS)
+    s.add_argument("--predictor", required=True, choices=tuple(_PREDICTORS))
     s.add_argument("--p", type=int, default=None)
     s.add_argument("--r", type=parse_rational, default=None)
     s.add_argument("--n", required=True)
@@ -456,11 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BFileError as exc:
+    except (UsageError, BFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

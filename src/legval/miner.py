@@ -19,6 +19,7 @@ table is a conjecture about the infinite sequence, not a theorem.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,12 +28,12 @@ from .arith import PadicVal, Prime
 from .sequences import SequenceSpec, iter_valuations_with_bits
 
 __all__ = [
-    "TableBudgetError",
     "ValuationTable",
     "RelationCandidate",
     "MinedRelation",
     "KernelRankEstimate",
     "build_table",
+    "worker_count",
     "mine_relations",
     "verify_relation",
     "estimate_kernel_rank",
@@ -41,14 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_MIN_SUPPORT = 50
-
-
-class TableBudgetError(RuntimeError):
-    """Raised when building a table would exceed the configured bit budget.
-
-    Distinct from ValueError so callers can tell resource exhaustion apart
-    from mathematically invalid requests.
-    """
 
 
 @dataclass(frozen=True)
@@ -104,44 +97,41 @@ def _chunk_worker(spec_text: str, p_int: int, start: int, stop: int) -> list[Pad
     return [v for v, _bits in iter_valuations_with_bits(spec, p, stop, start)]
 
 
-def build_table(
-    spec: SequenceSpec,
-    p: Prime,
-    N: int,
-    *,
-    jobs: int = 1,
-    max_total_bits: int | None = None,
-) -> ValuationTable:
+def worker_count(jobs: int, cpus: int, chunks: int) -> int:
+    """Worker processes for a sweep: at most ``jobs``, the usable ``cpus``
+    and the number of non-empty ``chunks``, and at least one."""
+    return max(1, min(jobs, cpus, chunks))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def build_table(spec: SequenceSpec, p: Prime, N: int, *, jobs: int = 1) -> ValuationTable:
     """Table of vp(value at n) for n = 0..N.
 
     With jobs > 1 the index range is split into contiguous chunks computed
-    in worker processes; each chunk reseeds its recurrence from the direct
-    formulas, so the result is identical for any worker count.
+    in worker processes, one chunk per worker (see ``worker_count``); each
+    chunk reseeds its recurrence from the direct formulas, so the result is
+    identical for any worker count.
     """
     if N < 0:
         raise ValueError("table length must be >= 0")
-    # budget accounting is cumulative in index order, so it runs serially
-    if jobs <= 1 or N < 256 or max_total_bits is not None:
-        values = []
-        total_bits = 0
-        for v, bits in iter_valuations_with_bits(spec, p, N + 1):
-            total_bits += bits
-            if max_total_bits is not None and total_bits > max_total_bits:
-                raise TableBudgetError(
-                    f"table for {spec.canonical()} exceeded {max_total_bits} total bits at n={len(values)}"
-                )
-            values.append(v)
-        return ValuationTable(spec, p, tuple(values))
+    workers = worker_count(jobs, _usable_cpus(), N + 1)
+    if workers == 1 or N < 256:
+        return ValuationTable(spec, p, tuple(v for v, _bits in iter_valuations_with_bits(spec, p, N + 1)))
 
     bounds = [0]
-    step, extra = divmod(N + 1, jobs)
-    for k in range(jobs):
+    step, extra = divmod(N + 1, workers)
+    for k in range(workers):
         bounds.append(bounds[-1] + step + (1 if k < extra else 0))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_chunk_worker, spec.canonical(), int(p), lo, hi)
             for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
         ]
         values = [v for f in futures for v in f.result()]
     return ValuationTable(spec, p, tuple(values))

@@ -6,9 +6,10 @@ base-p recursions).  None of them evaluates a polynomial: that independence
 is what makes comparing a predictor against the exact-evaluation oracle a
 meaningful check rather than a tautology.
 
-Two of the predictors implement open conjectures rather than proved
-theorems; they carry ``conjectural = True`` so harnesses can report a
-mismatch as a mathematical finding instead of an implementation bug.
+Two of the predictors (``predict_b_conjecture1``, ``predict_cube_sum_v3``)
+implement conjectures rather than proved theorems; their campaigns in
+``legval.verify`` are flagged conjectural, so a mismatch is reported as a
+mathematical finding instead of an implementation bug.
 """
 
 from __future__ import annotations
@@ -184,9 +185,6 @@ def predict_b_conjecture1(i: int) -> PadicVal:
     return predict_b_conjecture1(i // 3) + (i // 3) % 2
 
 
-predict_b_conjecture1.conjectural = True  # proved only in the p = 3 reading; kept flagged
-
-
 def predict_b_conjecture1_prefix(count: int) -> list[int]:
     """b(0) .. b(count-1) bottom-up; same recurrence, O(count) total."""
     if count < 0:
@@ -217,9 +215,6 @@ def predict_cube_sum_v3(n: int) -> PadicVal:
     if n % 6 == 5:
         return PadicVal(digit_sum(p3, (n - 1) // 2) + 1)
     return PadicVal(digit_sum(p3, (n + 1) // 2))
-
-
-predict_cube_sum_v3.conjectural = True  # open question; mismatches are findings
 
 
 def predict_vp_Q(p: Prime, r: Fraction, n: int) -> PadicVal:

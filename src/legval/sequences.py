@@ -405,7 +405,7 @@ def iter_valuations_with_bits(
     spec: SequenceSpec, p: Prime, stop: int, start: int = 0
 ) -> Iterator[tuple[PadicVal, int]]:
     """Like ``iter_sequence_valuations`` but also reports each underlying
-    integer's bit length, so callers can enforce a computation budget."""
+    integer's bit length, so callers can measure the arithmetic it took."""
     shift = vp_int(p, _KINDS[spec.kind].base(spec.r)).value
     for n, u in enumerate(_iter_scaled(spec, start, stop), start):
         if u == 0:

@@ -47,6 +47,20 @@ class TestPrime:
             with pytest.raises(ValueError):
                 Prime(n)
 
+    def test_rejects_pseudoprime_to_first_twelve_prime_bases(self):
+        # 399165290221 * 798330580441, a strong pseudoprime to every base <= 37
+        with pytest.raises(ValueError, match="not a prime"):
+            Prime(318665857834031151167461)
+
+    def test_rejects_beyond_proven_bound(self):
+        from legval.arith import _MR_PROVEN_BOUND
+
+        # the largest prime below the bound is still accepted
+        assert Prime(3317044064679887385961813) == 3317044064679887385961813
+        for n in (_MR_PROVEN_BOUND, 2**89 - 1, 10**30 + 57):
+            with pytest.raises(ValueError, match="proven"):
+                Prime(n)
+
     def test_is_int(self):
         p = Prime(3)
         assert p + 1 == 4

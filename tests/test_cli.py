@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import math
 import sys
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -241,3 +244,79 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as info:
             main(["eval", "--seq", "legendre", "--r", "x/y", "--n", "0..3"])
         assert info.value.code == 2
+
+
+class TestTimestamp:
+    """A stamped run differs from a --no-timestamp run only by its stamp."""
+
+    COMMANDS = {
+        "verify": ("verify", "--theorem", "thm5", "--n", "0..20"),
+        "mine": ("mine", "--seq", "dsum", "--p", "3", "--N", "243", "--max-e", "1"),
+        "rank": ("rank", "--seq", "legendre", "--r", "3", "--p", "3",
+                 "--max-e", "1", "--prefix-len", "20"),
+    }
+
+    @staticmethod
+    def _check_stamp(stamp):
+        parsed = datetime.fromisoformat(stamp)
+        assert parsed.utcoffset() == timedelta(0)
+        assert abs(datetime.now(timezone.utc) - parsed) < timedelta(minutes=5)
+
+    def _pair(self, capsys, fmt, command):
+        argv = ("--format", fmt) + self.COMMANDS[command]
+        code, stamped, _ = run(capsys, *argv)
+        code2, plain, _ = run(capsys, "--no-timestamp", *argv)
+        assert code == code2 == 0
+        return stamped, plain
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_text_has_generated_at_line(self, capsys, command):
+        stamped, plain = self._pair(capsys, "text", command)
+        first, rest = stamped.split("\n", 1)
+        assert first.startswith("# generated-at ")
+        self._check_stamp(first[len("# generated-at "):])
+        assert rest == plain
+        assert "generated-at" not in plain
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_csv_column_always_present(self, capsys, command):
+        stamped, plain = self._pair(capsys, "csv", command)
+        stamped_rows = list(csv.DictReader(io.StringIO(stamped)))
+        plain_rows = list(csv.DictReader(io.StringIO(plain)))
+        assert stamped.splitlines()[0] == plain.splitlines()[0]
+        assert stamped.splitlines()[0].endswith(",timestamp")
+        assert len(stamped_rows) == len(plain_rows) >= 1
+        assert len({row["timestamp"] for row in stamped_rows}) == 1
+        self._check_stamp(stamped_rows[0]["timestamp"])
+        for row, bare in zip(stamped_rows, plain_rows):
+            assert bare["timestamp"] == ""
+            assert {**row, "timestamp": ""} == bare
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_jsonl_key_dropped_when_empty(self, capsys, command):
+        stamped, plain = self._pair(capsys, "jsonl", command)
+        stamped_rows = [json.loads(line) for line in stamped.splitlines()]
+        plain_rows = [json.loads(line) for line in plain.splitlines()]
+        assert len(stamped_rows) == len(plain_rows) >= 1
+        assert len({row["timestamp"] for row in stamped_rows}) == 1
+        self._check_stamp(stamped_rows[0]["timestamp"])
+        for row, bare in zip(stamped_rows, plain_rows):
+            assert "timestamp" not in bare
+            row.pop("timestamp")
+            assert row == bare
+
+
+class TestBounds:
+    def test_prime_beyond_proven_bound_exits_two(self, capsys):
+        code, out, err = run(capsys, "valuate", "--seq", "delannoy",
+                             "--p", "3317044064679887385961981", "--n", "0..2")
+        assert code == 2
+        assert out == ""
+        assert "proven" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two(self, capsys, jobs):
+        code, out, err = run(capsys, "--jobs", jobs, "verify", "--theorem", "thm5", "--n", "0..5")
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err

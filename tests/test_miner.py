@@ -5,7 +5,6 @@ import pytest
 from legval.arith import PadicVal, Prime
 from legval.miner import (
     RelationCandidate,
-    TableBudgetError,
     ValuationTable,
     build_table,
     estimate_kernel_rank,
@@ -14,6 +13,7 @@ from legval.miner import (
     kernel_rank_from_values,
     mine_relations,
     verify_relation,
+    worker_count,
 )
 from legval.sequences import SequenceSpec
 
@@ -94,9 +94,16 @@ class TestBuildTable:
         assert t.values[0].is_infinite
         assert list(t.values[1:]) == [0, 1]
 
-    def test_budget_error(self):
-        with pytest.raises(TableBudgetError):
-            build_table(SequenceSpec.delannoy(), P3, 500, max_total_bits=100)
+    @pytest.mark.parametrize("jobs, cpus, chunks, want", [
+        (1, 8, 1000, 1),
+        (2, 2, 1000, 2),
+        (64, 2, 1000, 2),   # never more workers than usable CPUs
+        (8, 64, 3, 3),      # nor than non-empty chunks
+        (4, 1, 1000, 1),
+        (0, 4, 1000, 1),
+    ])
+    def test_worker_count(self, jobs, cpus, chunks, want):
+        assert worker_count(jobs, cpus, chunks) == want
 
     @pytest.mark.parametrize(
         "spec",

@@ -11,6 +11,7 @@ from legval.verify import (
     _report,
     run_verification,
     verify_conj1,
+    verify_conj2,
     verify_eq_ma,
     verify_formula_agreement,
     verify_lemma6,
@@ -146,3 +147,67 @@ class TestDispatch:
             report = run_verification(tid, lo, hi, **kwargs.get(tid, {}))
             assert report.status == "pass", tid
             assert report.theorem_id == tid
+
+
+class TestMismatchText:
+    """One forced mismatch per comparison shape, by replacing a name in verify."""
+
+    @staticmethod
+    def _bump(monkeypatch, name, when, by=1):
+        import legval.verify as verify
+
+        original = getattr(verify, name)
+
+        def fake(*args):
+            value = original(*args)
+            return value + by if when(*args) else value
+
+        monkeypatch.setattr(verify, name, fake)
+
+    def test_thm4_names_each_predictor(self, monkeypatch):
+        self._bump(monkeypatch, "predict_vp_legendre_at_p_cases", lambda p, n: n == 3, by=97)
+        report = verify_thm4(Prime(3), 0, 6)
+        assert report.status == "fail"
+        assert report.checked == 7
+        assert report.mismatches == [Mismatch(3, "cases=99 digits=2 recurrence=2", "2")]
+
+    def test_thm6_detail_names_parent_and_digit(self, monkeypatch):
+        self._bump(monkeypatch, "recurrence_step", lambda p, f, n, a: (n, a) == (2, 1), by=7)
+        report = verify_thm6(Prime(3), 0, 6)
+        assert report.status == "fail"
+        assert report.checked == 21
+        assert report.mismatches == [Mismatch(7, "8", "1", detail="n=2 a=1")]
+
+    def test_conj2_dumps_value_as_counterexample(self, monkeypatch):
+        self._bump(monkeypatch, "predict_cube_sum_v3", lambda n: n == 3, by=97)
+        report = verify_conj2(0, 6)
+        assert report.status == "counterexample-found"
+        assert report.mismatches == [Mismatch(3, "99", "2", detail="value=171")]
+
+    def test_lemma6_digit_form(self, monkeypatch):
+        self._bump(monkeypatch, "digit_sum", lambda p, m: m == 4)
+        report = verify_lemma6(Prime(3), 0, 6)
+        assert report.status == "fail"
+        assert report.mismatches == [Mismatch(4, "2 / 2", "digit form 6/(p-1)")]
+
+    def test_formula_agreement_names_each_formula(self, monkeypatch):
+        self._bump(monkeypatch, "legendre_eval_square_form", lambda n, x: n == 3)
+        report = verify_formula_agreement(0, 6, points=(Fraction(1), Fraction(1, 2)))
+        assert report.status == "fail"
+        assert report.checked == 14
+        assert report.mismatches == [
+            Mismatch(3, "binomial=1 rodrigues=1", "square=2", detail="x=1"),
+            Mismatch(3, "binomial=-7/16 rodrigues=-7/16", "square=9/16", detail="x=1/2"),
+        ]
+
+    def test_eq_ma_rational_detail(self, monkeypatch):
+        from legval.sequences import cigler_eval
+
+        self._bump(monkeypatch, "cigler_eval", lambda n, x: n == 3)
+        report = verify_eq_ma(0, 6, points=(Fraction(1, 2), Fraction(2)))
+        left = cigler_eval(3, Fraction(1, 2))
+        assert report.status == "fail"
+        assert report.checked == 7  # x = 2 is dropped
+        assert report.mismatches == [
+            Mismatch(3, str(left + 1), str(left), detail="x=1/2")]
+        assert "/" in str(left)
