@@ -2,11 +2,11 @@
 
 Everything works on Python's arbitrary-precision integers and on
 ``fractions.Fraction``; no floating point is involved anywhere.  Two kinds of
-quantities live here: direct valuations obtained by trial division
-(``vp_int``, ``vp_rat``) and digit-level formulas (base-p digit sums,
-Legendre's two factorial-valuation formulas, the digit form of a binomial
-valuation, Kummer's carry count) that compute the same quantities without
-ever touching the large numbers they describe.
+quantities live here: direct valuations of exact numbers, which divide out
+whole blocks of p at a time (``vp_int``, ``vp_rat``), and digit-level
+formulas (base-p digit sums, Legendre's two factorial-valuation formulas,
+the digit form of a binomial valuation, Kummer's carry count) that compute
+the same quantities without ever touching the large numbers they describe.
 
 All functions are pure; values are immutable and safe to share between
 threads or send to worker processes.
@@ -14,6 +14,7 @@ threads or send to worker processes.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -193,14 +194,47 @@ class PadicVal:
 INF = PadicVal(None)
 
 
+# p -> (p**K, K) for the largest K >= 1 with p**K inside one CPython digit.
+_BLOCKS: dict[int, tuple[int, int]] = {}
+_DIGIT = 1 << sys.int_info.bits_per_digit
+
+
+def _block(p: int) -> tuple[int, int]:
+    if p < 2:
+        raise ValueError(f"valuation base must be >= 2, got {p}")
+    pk, k = int(p), 1
+    while pk * p < _DIGIT:
+        pk *= p
+        k += 1
+    _BLOCKS[p] = pk, k
+    return pk, k
+
+
 def vp_int(p: Prime, n: int) -> PadicVal:
-    """Largest e with p**e dividing |n|; infinity for n = 0."""
+    """Largest e with p**e dividing |n|; infinity for n = 0.
+
+    Each pass over n divides by a whole block p**K that fits in one machine
+    digit, so a big n costs one pass per K units of valuation plus one (the
+    repeated-power idea of GMP's ``mpz_remove``).  The first non-zero
+    remainder r is below p**K with vp(r) = vp(n), and is finished as a small
+    int.  For p = 2 the lowest set bit gives the answer directly.
+    """
     if n == 0:
         return INF
-    n = abs(n)
+    if p == 2:
+        return PadicVal((n & -n).bit_length() - 1)
+    try:
+        pk, k = _BLOCKS[p]
+    except KeyError:
+        pk, k = _block(p)
     v = 0
-    while n % p == 0:
-        n //= p
+    r = n % pk
+    while not r:
+        n //= pk
+        v += k
+        r = n % pk
+    while not r % p:
+        r //= p
         v += 1
     return PadicVal(v)
 

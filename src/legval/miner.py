@@ -57,9 +57,18 @@ class ValuationTable:
         return len(self.values) - 1
 
     def save(self, path: str | Path) -> None:
+        """Writes the table to a temporary file beside ``path``, then renames
+        it over ``path``, so a failed write leaves any old file intact."""
+        path = Path(path)
         lines = [f"# spec={self.spec.canonical()} p={int(self.p)} N={self.N}"]
         lines.extend(f"{n} {v}" for n, v in enumerate(self.values))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "ValuationTable":
@@ -115,8 +124,8 @@ def build_table(spec: SequenceSpec, p: Prime, N: int, *, jobs: int = 1) -> Valua
 
     With jobs > 1 the index range is split into contiguous chunks computed
     in worker processes, one chunk per worker (see ``worker_count``); each
-    chunk reseeds its recurrence from the direct formulas, so the result is
-    identical for any worker count.
+    chunk jumps its recurrence to the chunk start by an exact companion-matrix
+    product, so the result is identical for any worker count.
     """
     if N < 0:
         raise ValueError("table length must be >= 0")

@@ -16,13 +16,15 @@ running products, giving O(n) large-integer multiplications per evaluation.
 For batch work (valuation tables, verification sweeps) every kind is one
 record in ``_KINDS``: the summation above that gives a scaled integer U_n,
 the base B with value_n = U_n / B**n, and the coefficients of a three-term
-recurrence for U_n.  One stepper walks any index range from two direct
-seeds in O(1) big-integer operations per step.  ``eval_sequence`` reads a
+recurrence for U_n.  One stepper walks any index range in O(1) big-integer
+operations per step.  It reaches the start of a range by jumping from U_0
+and U_1 with a binary-split product of the recurrence's companion matrices,
+so a chunk starting at n costs about as much as a few multiplications of
+numbers of U_n's size, not an O(n**2) summation.  ``eval_sequence`` reads a
 record's summation and base; the ``iter_sequence_*`` generators are views
-over the stepper.  The cube-weighted sum has
-no certified recurrence yet and is summed at every index.  The direct
-formulas stay the independent oracle the test suite checks the stepper
-against.
+over the stepper.  The cube-weighted sum has no certified recurrence yet and
+is summed at every index.  The direct formulas stay the independent oracle
+the test suite checks the stepper against.
 """
 
 from __future__ import annotations
@@ -299,9 +301,15 @@ def cube_sum_2k(n: int) -> int:
 #             shortest known recurrence (order 3, cubic coefficients) is only
 #             fitted to terms, not certified, so it does not drive sweeps yet.
 #
-# Every division by D(n) is exact, and D(n) != 0 for n >= 2.  ``_iter_scaled``
-# takes the first two indices of any range from ``direct``, so a range split
-# into chunks yields the same integers as one sweep.
+# Every division by D(n) is exact, and D(n) != 0 for n >= 2.  In matrix form
+#     D(n) * (U_n, U_{n-1}) = M(n) * (U_{n-1}, U_{n-2}),  M(n) = [[A(n), C(n)],
+#                                                                [D(n), 0   ]],
+# so M(s+1)...M(2) * (U_1, U_0) = D(2)...D(s+1) * (U_{s+1}, U_s).
+# ``_iter_scaled`` seeds any range start s this way from ``direct(0)`` and
+# ``direct(1)``, multiplying the integer matrices by binary splitting
+# (Bostan, Gaudry & Schost 2007) and dividing once, exactly, at the end.  The
+# integers are the ones a sweep from 0 reaches, so a range split into chunks
+# yields the same values as one sweep.
 # ---------------------------------------------------------------------------
 
 _Linear = tuple[int, int]  # (c0, c1) stands for c0 + c1*n
@@ -365,21 +373,39 @@ def eval_sequence(spec: SequenceSpec, n: int) -> Fraction:
     return Fraction(kind.direct(n, spec.r), kind.base(spec.r) ** n)
 
 
+def _companion_product(step: tuple[_Linear, _Linear, _Linear], lo: int, hi: int
+                       ) -> tuple[tuple[int, int, int, int], int]:
+    """M(hi-1)...M(lo) as (m00, m01, m10, m11), and D(lo)...D(hi-1), for
+    lo < hi, by binary splitting."""
+    if hi - lo == 1:
+        (d0, d1), (a0, a1), (c0, c1) = step
+        d = d0 + d1 * lo
+        return (a0 + a1 * lo, c0 + c1 * lo, d, 0), d
+    mid = (lo + hi) // 2
+    (p00, p01, p10, p11), pd = _companion_product(step, mid, hi)
+    (q00, q01, q10, q11), qd = _companion_product(step, lo, mid)
+    return (p00 * q00 + p01 * q10, p00 * q01 + p01 * q11,
+            p10 * q00 + p11 * q10, p10 * q01 + p11 * q11), pd * qd
+
+
 def _iter_scaled(spec: SequenceSpec, start: int, stop: int) -> Iterator[int]:
     """Yields the scaled integers U_n for n in [start, stop)."""
     if start < 0 or stop < start:
         raise ValueError(f"bad index range [{start}, {stop})")
     kind = _KINDS[spec.kind]
     step = kind.step(spec.r)
-    seeded = stop if step is None else min(start + 2, stop)
-    m1 = m2 = None
-    for n in range(start, seeded):
-        m2, m1 = m1, kind.direct(n, spec.r)
-        yield m1
     if step is None:
+        for n in range(start, stop):
+            yield kind.direct(n, spec.r)
         return
+    m2, m1 = kind.direct(0, spec.r), kind.direct(1, spec.r)
+    if start:
+        (t00, t01, t10, t11), d = _companion_product(step, 2, start + 2)
+        (m1, rem1), (m2, rem2) = divmod(t00 * m1 + t01 * m2, d), divmod(t10 * m1 + t11 * m2, d)
+        assert rem1 == rem2 == 0, f"{spec.canonical()} jump to {start} lost exactness"
+    yield from (m2, m1)[: stop - start]
     (d0, d1), (a0, a1), (c0, c1) = step
-    for n in range(seeded, stop):
+    for n in range(start + 2, stop):
         u, rem = divmod((a0 + a1 * n) * m1 + (c0 + c1 * n) * m2, d0 + d1 * n)
         assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
         yield u

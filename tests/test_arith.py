@@ -1,7 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from legval.arith import (
     INF,
@@ -29,6 +32,12 @@ def vp_oracle(p, n):
         n //= p
         v += 1
     return v
+
+
+# Beside the small primes: 1073741789, the largest prime below 2**30, fills a
+# 30-bit digit with its first power, and 2**31 - 1 and 2**61 - 1 do not fit
+# in one digit at all, so all three divide one power of p per pass.
+VP_PRIMES = (2, 3, 5, 7, 11, 1073741789, 2**31 - 1, 2**61 - 1)
 
 
 class TestPrime:
@@ -118,6 +127,40 @@ class TestVp:
 
     def test_accepts_plain_int_rational(self):
         assert vp_rat(Prime(3), 18) == 2
+
+    @pytest.mark.parametrize("p", [1, 0, -3])
+    def test_rejects_base_below_two(self, p):
+        with pytest.raises(ValueError, match=">= 2"):
+            vp_int(p, 18)
+
+    @pytest.mark.parametrize("n, want", [
+        (0, None), (3**18, 18), (-(3**18), 18), (3**36, 36), (2 * 3**18, 18),
+        (3**18 - 1, 0), (3**17, 17), (3**19, 19), (3**36 * 2**100, 36), (2 * 3**36 + 3**35, 35),
+    ])
+    def test_block_boundaries(self, n, want):
+        got = vp_int(Prime(3), n)
+        assert got.is_infinite if want is None else got == want
+
+    def test_block_is_largest_power_in_a_digit(self):
+        from legval.arith import _block
+
+        if sys.int_info.bits_per_digit == 30:
+            assert _block(3) == (3**18, 18)
+            assert _block(1073741789) == (1073741789, 1)
+        assert _block(2**61 - 1) == (2**61 - 1, 1)
+
+    @given(p=st.sampled_from(VP_PRIMES), e=st.integers(0, 80),
+           m=st.integers(1, 2**200), sign=st.sampled_from((1, -1)))
+    @example(p=3, e=36, m=2, sign=-1)
+    @example(p=2**31 - 1, e=80, m=2**31 - 2, sign=-1)
+    @settings(deadline=None)  # the first example pays for importing sympy
+    def test_matches_oracle_and_sympy(self, p, e, m, sign):
+        from sympy import multiplicity
+
+        n = sign * p**e * m
+        got = vp_int(Prime(p), n)
+        assert got == vp_oracle(p, n) == multiplicity(p, n)
+        assert got >= e
 
 
 class TestDigitSum:

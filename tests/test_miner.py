@@ -160,6 +160,24 @@ class TestPersistence:
         with pytest.raises(ValueError):
             ValuationTable.load(path)
 
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        import pathlib
+
+        path = tmp_path / "dsum.table"
+        build_table(SequenceSpec.dsum(), P3, 40).save(path)
+        old = path.read_bytes()
+        write_text = pathlib.Path.write_text
+
+        def half_then_fail(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            build_table(SequenceSpec.dsum(), P3, 80).save(path)
+        assert path.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["dsum.table"]
+
     def test_truncated(self):
         t = build_table(SequenceSpec.delannoy(), P3, 10)
         short = t.truncated(4)

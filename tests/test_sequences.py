@@ -253,3 +253,43 @@ class TestIterators:
         assert vals[0] is INF or vals[0].is_infinite
         assert vals[1] == 0
         assert vals[2] == 1
+
+
+JUMP_SPECS = [
+    SequenceSpec.legendre(3),
+    SequenceSpec.legendre(Fraction(3, 5)),
+    SequenceSpec.q(Fraction(-2, 3)),
+    SequenceSpec.cigler(Fraction(7, 2)),
+    SequenceSpec.delannoy(),
+    SequenceSpec.dsum(),  # D(n) = n - 1 vanishes at n = 1
+]
+
+
+class TestJumpAhead:
+    """A range that starts past 1 is seeded by the companion-matrix jump;
+    every value it yields must equal the direct summation."""
+
+    @pytest.mark.parametrize("start", [2, 3, 4, 242, 243, 244, 1000])
+    @pytest.mark.parametrize("spec", JUMP_SPECS, ids=SequenceSpec.canonical)
+    def test_matches_direct(self, spec, start):
+        from legval.arith import vp_rat
+        from legval.sequences import _KINDS, _iter_scaled, iter_valuations_with_bits
+
+        stop = start + 4
+        kind = _KINDS[spec.kind]
+        scaled = [kind.direct(n, spec.r) for n in range(start, stop)]
+        assert list(_iter_scaled(spec, start, stop)) == scaled
+        values = [eval_sequence(spec, n) for n in range(start, stop)]
+        assert list(iter_sequence_values(spec, stop, start)) == values
+        for p in (Prime(2), Prime(3)):
+            want = [(vp_rat(p, v), u.bit_length()) for v, u in zip(values, scaled)]
+            assert list(iter_valuations_with_bits(spec, p, stop, start)) == want
+
+    @pytest.mark.parametrize("spec", JUMP_SPECS, ids=SequenceSpec.canonical)
+    def test_short_ranges(self, spec):
+        from legval.sequences import _iter_scaled
+
+        sweep = list(_iter_scaled(spec, 0, 245))
+        assert list(_iter_scaled(spec, 243, 243)) == []
+        assert list(_iter_scaled(spec, 243, 244)) == sweep[243:244]
+        assert list(_iter_scaled(spec, 243, 245)) == sweep[243:245]
