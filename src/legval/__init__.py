@@ -63,7 +63,6 @@ from .sequences import (
     legendre_eval_rodrigues,
     legendre_eval_square_form,
     partial_sum_central_binomial,
-    q_eval,
 )
 from .verify import (
     CONJECTURE_IDS,

@@ -49,23 +49,22 @@ from .predictors import (
     predict_vp_legendre_general_oneline,
 )
 from .sequences import SequenceKind, SequenceSpec, iter_sequence_valuations, iter_sequence_values
-from .verify import THEOREM_IDS, UsageError, VerificationReport, run_verification
+from .verify import THEOREM_IDS, UsageError, VerificationReport, _bind_options, run_verification
 
-# predictor id: (the options it requires, its per-index function built from the
-# parsed --p and --r).  The predictor names are looked up when a command runs.
+# predictor id: the builder of its per-index function, whose parameters are
+# the options it requires.  The predictor names are looked up when a command runs.
 _PREDICTORS = {
-    "thm3": (("p", "r"), lambda p, r: partial(predict_vp_legendre_general, PredictionContext(p, r))),
-    "thm3-oneline": (("p", "r"),
-                     lambda p, r: partial(predict_vp_legendre_general_oneline, PredictionContext(p, r))),
-    "thm4": (("p",), lambda p, r: partial(predict_vp_legendre_at_p_cases, p)),
-    "thm4-digits": (("p",), lambda p, r: partial(predict_vp_legendre_at_p_digits, p)),
-    "thm4-rec": (("p",), lambda p, r: partial(predict_by_recurrence, p)),
-    "thm5": ((), lambda p, r: predict_vp_legendre_at_2),
-    "q": (("p", "r"), lambda p, r: partial(predict_vp_Q, p, r)),
-    "cigler": (("p",), lambda p, r: partial(predict_vp_cigler, p)),
-    "conj1": ((), lambda p, r: predict_b_conjecture1),
-    "conj2": ((), lambda p, r: predict_cube_sum_v3),
-    "strauss": ((), lambda p, r: predict_strauss_shallit),
+    "thm3": lambda p, r: partial(predict_vp_legendre_general, PredictionContext(p, r)),
+    "thm3-oneline": lambda p, r: partial(predict_vp_legendre_general_oneline, PredictionContext(p, r)),
+    "thm4": lambda p: partial(predict_vp_legendre_at_p_cases, p),
+    "thm4-digits": lambda p: partial(predict_vp_legendre_at_p_digits, p),
+    "thm4-rec": lambda p: partial(predict_by_recurrence, p),
+    "thm5": lambda: predict_vp_legendre_at_2,
+    "q": lambda p, r: partial(predict_vp_Q, p, r),
+    "cigler": lambda p: partial(predict_vp_cigler, p),
+    "conj1": lambda: predict_b_conjecture1,
+    "conj2": lambda: predict_cube_sum_v3,
+    "strauss": lambda: predict_strauss_shallit,
 }
 
 
@@ -162,13 +161,11 @@ def cmd_valuate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    needs, make = _PREDICTORS[args.predictor]
+    make = _PREDICTORS[args.predictor]
     p = _prime(args.p) if args.p is not None else None
-    if any({"p": p, "r": args.r}[name] is None for name in needs):
-        raise UsageError(f"predictor {args.predictor} requires "
-                         + " and ".join(f"--{name}" for name in needs))
+    options = _bind_options(f"predictor {args.predictor}", make, {"p": p, "r": args.r})
     try:
-        fn = make(p, args.r)
+        fn = make(**options)
         lo, hi = _parse_range(args.n)
         pairs = [(n, fn(n)) for n in range(lo, hi + 1)]
     except ValueError as exc:

@@ -100,9 +100,7 @@ class ValuationTable:
         return ValuationTable(self.spec, self.p, self.values[: N + 1])
 
 
-def _chunk_worker(spec_text: str, p_int: int, start: int, stop: int) -> list[PadicVal]:
-    spec = SequenceSpec.parse(spec_text)
-    p = Prime(p_int)
+def _chunk_worker(spec: SequenceSpec, p: Prime, start: int, stop: int) -> list[PadicVal]:
     return [v for v, _bits in iter_valuations_with_bits(spec, p, stop, start)]
 
 
@@ -139,7 +137,7 @@ def build_table(spec: SequenceSpec, p: Prime, N: int, *, jobs: int = 1) -> Valua
         bounds.append(bounds[-1] + step + (1 if k < extra else 0))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_chunk_worker, spec.canonical(), int(p), lo, hi)
+            pool.submit(_chunk_worker, spec, p, lo, hi)
             for lo, hi in zip(bounds, bounds[1:])
         ]
         values = [v for f in futures for v in f.result()]
@@ -296,10 +294,6 @@ def mine_relations(
     return accepted
 
 
-def _labels_up_to(p: Prime, max_e: int) -> list[tuple[int, int]]:
-    return [(e, i) for e in range(max_e + 1) for i in range(p**e)]
-
-
 def integer_matrix_rank(rows: list[list[int]]) -> tuple[int, list[int]]:
     """Rank of an integer matrix by fraction-free elimination.
 
@@ -340,39 +334,6 @@ def integer_matrix_rank(rows: list[list[int]]) -> tuple[int, list[int]]:
     return rank, pivots
 
 
-def kernel_rank_from_values(
-    values: tuple[PadicVal, ...] | list[PadicVal],
-    p: Prime,
-    max_e: int,
-    prefix_len: int,
-) -> KernelRankEstimate:
-    """Rank of the kernel-subsequence prefix matrix built from raw values."""
-    if prefix_len < 1:
-        raise ValueError("prefix_len must be >= 1")
-    if max_e < 0:
-        raise ValueError("max_e must be >= 0")
-    deepest = p**max_e
-    needed = deepest * (prefix_len - 1) + deepest - 1
-    if needed > len(values) - 1:
-        raise ValueError(
-            f"table too short: need index {needed} for max_e={max_e}, prefix_len={prefix_len}"
-        )
-    rows: list[list[int]] = []
-    labels: list[tuple[int, int]] = []
-    dropped: list[tuple[int, int]] = []
-    for e, i in _labels_up_to(p, max_e):
-        pe = p**e
-        picked = [values[pe * n + i] for n in range(prefix_len)]
-        if any(v.is_infinite for v in picked):
-            dropped.append((e, i))
-            continue
-        rows.append([v.value for v in picked])
-        labels.append((e, i))
-    rank, pivots = integer_matrix_rank(rows)
-    basis = tuple(sorted(labels[r] for r in pivots))
-    return KernelRankEstimate(prefix_len, max_e, rank, basis, tuple(dropped))
-
-
 def estimate_kernel_rank(table: ValuationTable, max_e: int, prefix_len: int) -> KernelRankEstimate:
     """Rank over the rationals of the kernel subsequences of a table.
 
@@ -380,4 +341,29 @@ def estimate_kernel_rank(table: ValuationTable, max_e: int, prefix_len: int) -> 
     ``dropped``; rank of integer rows over Q equals their rank over Z's
     fraction field, so fraction-free elimination is exact here.
     """
-    return kernel_rank_from_values(table.values, table.p, max_e, prefix_len)
+    if prefix_len < 1:
+        raise ValueError("prefix_len must be >= 1")
+    if max_e < 0:
+        raise ValueError("max_e must be >= 0")
+    p, values = table.p, table.values
+    deepest = p**max_e
+    needed = deepest * (prefix_len - 1) + deepest - 1
+    if needed > table.N:
+        raise ValueError(
+            f"table too short: need index {needed} for max_e={max_e}, prefix_len={prefix_len}"
+        )
+    rows: list[list[int]] = []
+    labels: list[tuple[int, int]] = []
+    dropped: list[tuple[int, int]] = []
+    for e in range(max_e + 1):
+        pe = p**e
+        for i in range(pe):
+            picked = [values[pe * n + i] for n in range(prefix_len)]
+            if any(v.is_infinite for v in picked):
+                dropped.append((e, i))
+                continue
+            rows.append([v.value for v in picked])
+            labels.append((e, i))
+    rank, pivots = integer_matrix_rank(rows)
+    basis = tuple(sorted(labels[r] for r in pivots))
+    return KernelRankEstimate(prefix_len, max_e, rank, basis, tuple(dropped))

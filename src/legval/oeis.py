@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import Prime, format_rational
+from .arith import Prime
 from .sequences import SequenceSpec, iter_sequence_valuations, iter_sequence_values
-from .verify import Mismatch, VerificationReport
+from .verify import VerificationReport, _differ, _report
 
 __all__ = ["BFileError", "BFileRecord", "parse_bfile", "oeis_check"]
 
@@ -67,16 +67,14 @@ def oeis_check(
     Our index is ``bfile index + offset``.  With ``p`` given the comparison
     is between valuations (the b-file holds integers, an infinite valuation
     on our side is always a mismatch); otherwise raw exact values.  A missing
-    file is a skip, not a failure.
+    file, or one with no entries in range, is a skip, not a failure.
     """
     path = Path(bfile_path)
     params = {"spec": spec.canonical(), "file": path.name, "offset": str(offset)}
     if p is not None:
         params["p"] = str(int(p))
-    if not path.exists():
-        return VerificationReport("oeis-check", params, 0, [], "skipped")
     records = [
-        rec for rec in parse_bfile(path)
+        rec for rec in (parse_bfile(path) if path.exists() else [])
         if rec.index + offset >= 0 and (limit is None or rec.index + offset <= limit)
     ]
     if not records:
@@ -84,22 +82,11 @@ def oeis_check(
     lo = records[0].index + offset
     hi = records[-1].index + offset
     wanted = {rec.index + offset: rec for rec in records}
-    mismatches: list[Mismatch] = []
     if p is not None:
         stream = iter_sequence_valuations(spec, p, hi + 1, lo)
-        for n, ours in zip(range(lo, hi + 1), stream):
-            rec = wanted.get(n)
-            if rec is None:
-                continue
-            if ours.is_infinite or ours.value != rec.value:
-                mismatches.append(Mismatch(rec.index, str(rec.value), str(ours)))
     else:
         stream = iter_sequence_values(spec, hi + 1, lo)
-        for n, ours in zip(range(lo, hi + 1), stream):
-            rec = wanted.get(n)
-            if rec is None:
-                continue
-            if ours != rec.value:
-                mismatches.append(Mismatch(rec.index, str(rec.value), format_rational(ours)))
-    status = "pass" if not mismatches else "fail"
-    return VerificationReport("oeis-check", params, len(records), mismatches, status)
+    # an infinite valuation equals no int; str of a Fraction is its 'num/den' form
+    return _report("oeis-check", params, len(records), (
+        _differ(rec.index, rec.value, ours)
+        for n, ours in zip(range(lo, hi + 1), stream) if (rec := wanted.get(n)) is not None))

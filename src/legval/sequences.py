@@ -2,7 +2,7 @@
 
 Three independent summation formulas are provided for the Legendre value
 P_n(x) so they can cross-check one another: the binomial double-product sum,
-the Rodrigues alternating sum (also exposed unscaled as Q_n = 2**n * P_n),
+the Rodrigues alternating sum (whose unscaled Q_n = 2**n * P_n is the q kind),
 and the squared-binomial two-power sum.  Alongside them live the Cigler
 polynomial M_n(x), the central Delannoy numbers, the partial sums of central
 binomial coefficients, and the cube-weighted power sum.
@@ -44,7 +44,6 @@ __all__ = [
     "legendre_eval_binomial",
     "legendre_eval_rodrigues",
     "legendre_eval_square_form",
-    "q_eval",
     "cigler_eval",
     "central_delannoy",
     "partial_sum_central_binomial",
@@ -193,13 +192,6 @@ def legendre_eval_rodrigues(n: int, x: Fraction | int) -> Fraction:
     _require_nonneg(n)
     num, den = _rodrigues_parts(n, Fraction(x))
     return Fraction(num, den << n)
-
-
-def q_eval(n: int, x: Fraction | int) -> Fraction:
-    """Q_n(x) = 2**n * P_n(x), the integer-coefficient alternating sum."""
-    _require_nonneg(n)
-    num, den = _rodrigues_parts(n, Fraction(x))
-    return Fraction(num, den)
 
 
 def legendre_eval_square_form(n: int, x: Fraction | int) -> Fraction:

@@ -128,6 +128,14 @@ def _side_text(side) -> str:
     return str(side)
 
 
+def _context(p: Prime, r: Fraction) -> PredictionContext:
+    """The predictors' context, which checks the hypothesis vp(r) >= 1."""
+    try:
+        return PredictionContext(p, r)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _require_odd(p: Prime, theorem_id: str) -> Prime:
     if p < 3:
         raise UsageError(f"{theorem_id} requires an odd prime p >= 3, got p={int(p)}")
@@ -164,10 +172,7 @@ def verify_thm5(lo: int, hi: int, jobs: int = 1) -> VerificationReport:
 
 def verify_thm3(p: Prime, r: Fraction, lo: int, hi: int, jobs: int = 1) -> VerificationReport:
     """Both general predictors for vp(P_n(r)), vp(r) >= 1, against the oracle."""
-    try:
-        ctx = PredictionContext(p, r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    ctx = _context(p, r)
     params = _range_params(lo, hi, p=str(int(p)), r=format_rational(r))
     table = build_table(SequenceSpec.legendre(r), p, hi, jobs=jobs)
     return _report("thm3", params, hi - lo + 1, (_differ(n, {
@@ -276,9 +281,7 @@ def verify_lemma6(p: Prime, lo: int, hi: int) -> VerificationReport:
 
 def _verify_q_parity(theorem_id: str, parity: int, p: Prime, r: Fraction,
                      lo: int, hi: int, jobs: int) -> VerificationReport:
-    if not vp_rat(p, r) >= 1:
-        raise UsageError(
-            f"hypothesis violated: vp(r) >= 1 required, but v_{int(p)}({format_rational(r)}) = {vp_rat(p, r)}")
+    _context(p, r)  # checks vp(r) >= 1; predict_vp_Q takes p and r
     params = _range_params(lo, hi, p=str(int(p)), r=format_rational(r))
     table = build_table(SequenceSpec.q(r), p, hi, jobs=jobs)
     indices = range(lo + (lo + parity) % 2, hi + 1, 2)
@@ -356,14 +359,20 @@ def run_verification(
     jobs: int = 1,
     against: str = "oracle",
 ) -> VerificationReport:
-    """Runs a campaign by id with the parameters it takes; a parameter it
-    requires (one without a default) must not be ``None``."""
+    """Runs a campaign by id with the parameters it takes (see ``_bind_options``)."""
     campaign = _CAMPAIGNS.get(theorem_id)
     if campaign is None:
         raise UsageError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     given = {"p": p, "r": r, "jobs": jobs, "against": against}
-    takes = inspect.signature(campaign.run).parameters
-    required = [name for name in takes if name in given and takes[name].default is inspect.Parameter.empty]
-    if any(given[name] is None for name in required):
-        raise UsageError(f"{theorem_id} requires " + " and ".join(f"--{name}" for name in required))
-    return campaign.run(lo=lo, hi=hi, **{name: given[name] for name in takes if name in given})
+    return campaign.run(lo=lo, hi=hi, **_bind_options(theorem_id, campaign.run, given))
+
+
+def _bind_options(name: str, fn: Callable, given: dict[str, object]) -> dict[str, object]:
+    """The entries of ``given`` that ``fn`` takes as parameters.  A parameter
+    it requires (one without a default) must not be ``None``; else the
+    ``UsageError`` names ``name`` and every required option."""
+    takes = inspect.signature(fn).parameters
+    required = [key for key in takes if key in given and takes[key].default is inspect.Parameter.empty]
+    if any(given[key] is None for key in required):
+        raise UsageError(f"{name} requires " + " and ".join(f"--{key}" for key in required))
+    return {key: given[key] for key in takes if key in given}

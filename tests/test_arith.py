@@ -109,6 +109,47 @@ class TestPadicVal:
         assert len({PadicVal(1), 1}) == 1
 
 
+PADIC = st.one_of(st.just(INF), st.integers().map(PadicVal))
+
+
+class TestPadicValLaws:
+    @given(a=PADIC, b=PADIC)
+    def test_total_order(self, a, b):
+        assert [a < b, a == b, a > b].count(True) == 1
+        assert (a <= b) == (a < b or a == b)
+        assert (a >= b) == (a > b or a == b)
+        assert (a < b) == (b > a)
+
+    @given(a=PADIC, b=PADIC, c=PADIC)
+    def test_order_is_transitive(self, a, b, c):
+        if a <= b and b <= c:
+            assert a <= c
+        if a < b and b < c:
+            assert a < c
+
+    @given(x=st.integers())
+    def test_infinity_above_every_finite_value(self, x):
+        assert PadicVal(x) < INF and INF > PadicVal(x)
+        assert x < INF and INF > x and INF >= x and INF != x
+
+    @given(a=PADIC, b=PADIC, c=PADIC)
+    def test_addition(self, a, b, c):
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a + 0 == a == 0 + a
+        assert (a + INF).is_infinite and (INF + a).is_infinite
+
+    @given(x=st.integers(), y=st.integers())
+    def test_finite_values_behave_as_int(self, x, y):
+        a, b = PadicVal(x), PadicVal(y)
+        assert a == x and x == a and hash(a) == hash(x)
+        assert (a == b) == (x == y) and (a != b) == (x != y)
+        assert (a < b) == (x < y) and (a <= b) == (x <= y)
+        assert (a < y) == (x < y) and (x < b) == (x < y)
+        assert a + b == a + y == x + b == x + y
+        assert len({a, x}) == 1
+
+
 class TestVp:
     def test_examples(self):
         assert vp_int(Prime(3), 0).is_infinite

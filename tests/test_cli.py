@@ -2,12 +2,16 @@ import csv
 import io
 import json
 import math
+import shlex
 import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
-from legval.cli import main
+from legval.cli import _PREDICTORS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -107,6 +111,32 @@ class TestPredict:
     def test_strauss_rejects_zero(self, capsys):
         code, _, err = run(capsys, "predict", "--predictor", "strauss", "--n", "0..4")
         assert code == 2
+
+
+# the options each predictor requires, as its usage error names them
+PREDICTOR_REQUIRES = {
+    "thm3": "--p and --r", "thm3-oneline": "--p and --r", "q": "--p and --r",
+    "thm4": "--p", "thm4-digits": "--p", "thm4-rec": "--p", "cigler": "--p",
+    "thm5": None, "conj1": None, "conj2": None, "strauss": None,
+}
+
+
+class TestPredictorOptions:
+    @pytest.mark.parametrize("predictor", tuple(_PREDICTORS))
+    def test_without_options(self, capsys, predictor):
+        code, out, err = run(capsys, "predict", "--predictor", predictor, "--n", "1..4")
+        requires = PREDICTOR_REQUIRES[predictor]
+        if requires is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", f"error: predictor {predictor} requires {requires}\n")
+
+    @pytest.mark.parametrize("predictor", tuple(_PREDICTORS))
+    def test_with_p_and_r(self, capsys, predictor):
+        code, out, err = run(capsys, "predict", "--predictor", predictor,
+                             "--p", "3", "--r", "9", "--n", "1..4")
+        assert (code, err) == (0, "")
+        assert [line.split()[0] for line in out.splitlines()] == ["1", "2", "3", "4"]
 
 
 class TestVerify:
@@ -320,3 +350,33 @@ class TestBounds:
         assert code == 2
         assert out == ""
         assert "--jobs" in err
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """Each '$ legval ...' line of README's CLI block, as its arguments and
+    the stdout shown under it, up to the next blank line or fence."""
+    examples: list[tuple[list[str], list[str]]] = []
+    current = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ legval "):
+            current = (shlex.split(line)[2:], [])
+            examples.append(current)
+        elif current is not None and line and not line.startswith("```"):
+            current[1].append(line)
+        else:
+            current = None
+    return [(argv, "".join(out + "\n" for out in shown)) for argv, shown in examples]
+
+
+README_EXAMPLES = readme_examples()
+
+
+class TestReadmeExamples:
+    def test_readme_has_examples(self):
+        assert len(README_EXAMPLES) >= 5
+
+    @pytest.mark.parametrize("argv,shown", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+    def test_example_output(self, capsys, argv, shown):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == shown

@@ -1,8 +1,12 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from legval.arith import PadicVal, Prime
+from legval.arith import INF, PadicVal, Prime
 from legval.miner import (
     RelationCandidate,
     ValuationTable,
@@ -10,7 +14,6 @@ from legval.miner import (
     estimate_kernel_rank,
     format_relation,
     integer_matrix_rank,
-    kernel_rank_from_values,
     mine_relations,
     verify_relation,
     worker_count,
@@ -144,6 +147,21 @@ class TestPersistence:
         path2 = tmp_path / "again.table"
         again.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @given(spec=st.sampled_from([SequenceSpec.dsum(), SequenceSpec.legendre(Fraction(-9, 5)),
+                                 SequenceSpec.q(Fraction(1, 2))]),
+           p=st.sampled_from([2, 3, 5, 7]),
+           values=st.lists(st.one_of(st.just(INF), st.integers(-10**20, 10**20).map(PadicVal)),
+                           min_size=1, max_size=50).filter(lambda vs: INF in vs))
+    def test_save_load_save_with_infinite_entries(self, spec, p, values):
+        table = ValuationTable(spec, Prime(p), tuple(values))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.table", Path(tmp) / "second.table"
+            table.save(first)
+            again = ValuationTable.load(first)
+            again.save(second)
+            assert again == table
+            assert first.read_bytes() == second.read_bytes()
 
     def test_round_trip_rational_spec(self, tmp_path):
         t = build_table(SequenceSpec.legendre(Fraction(-9, 5)), Prime(3), 12)
@@ -317,7 +335,7 @@ class TestRank:
 
         p2 = Prime(2)
         values = tuple(PadicVal(digit_sum(p2, n)) for n in range(500))
-        est = kernel_rank_from_values(values, p2, 2, 100)
+        est = estimate_kernel_rank(ValuationTable(SequenceSpec.delannoy(), p2, values), 2, 100)
         rows = []
         for e in range(3):
             for i in range(2**e):

@@ -1,10 +1,16 @@
 import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from legval.arith import Prime
 from legval.oeis import BFileError, oeis_check, parse_bfile
 from legval.sequences import SequenceSpec
+from legval.verify import Mismatch
 
 
 def v3(x):
@@ -62,6 +68,48 @@ class TestParse:
         path.write_text("3 1\n2 1\n")
         with pytest.raises(BFileError, match="increasing"):
             parse_bfile(path)
+
+
+# one token without digits, which int() cannot read and which starts no comment
+JUNK = st.text(alphabet="abcxyz./;:!?-+_", min_size=1)
+
+
+def parse_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "b.txt"
+        path.write_bytes(data)
+        return parse_bfile(path)
+
+
+class TestParseMangled:
+    @given(data=st.binary(max_size=200))
+    @settings(deadline=None)
+    def test_any_bytes_parse_or_raise_bfile_error(self, data):
+        try:
+            records = parse_bytes(data)
+        except BFileError:
+            return
+        indices = [r.index for r in records]
+        assert indices == sorted(set(indices))
+
+    @given(values=st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=20),
+           where=st.integers(0, 19), how=st.sampled_from(("drop", "extra", "index", "value", "repeat")),
+           junk=JUNK)
+    @settings(deadline=None)
+    def test_mangled_line_raises_with_its_number(self, values, where, how, junk):
+        pos = where % len(values)
+        assume(how != "repeat" or pos > 0)
+        lines = [f"{i} {v}" for i, v in enumerate(values)]
+        v = values[pos]
+        lines[pos] = {
+            "drop": f"{pos}",
+            "extra": f"{pos} {v} {junk}",
+            "index": f"{junk} {v}",
+            "value": f"{pos} {junk}",
+            "repeat": f"{pos - 1} {v}",
+        }[how]
+        with pytest.raises(BFileError, match=f":{pos + 1}:"):
+            parse_bytes(("\n".join(lines) + "\n").encode())
 
 
 class TestCheck:
@@ -128,3 +176,23 @@ class TestCheck:
         path = write_bfile(tmp_path / "b.txt", [(0, 0), (1, 0)])
         report = oeis_check(SequenceSpec.dsum(), path, p=Prime(3))
         assert report.status == "fail"  # our v3(d(0)) is infinite
+
+    def test_rational_value_mismatch_text(self, tmp_path):
+        path = write_bfile(tmp_path / "b.txt", [(0, 1), (1, 0), (2, 1)])
+        report = oeis_check(SequenceSpec.legendre(Fraction(1, 2)), path)
+        assert report.status == "fail"
+        assert report.mismatches == [Mismatch(1, "0", "1/2"), Mismatch(2, "1", "-1/8")]
+
+    def test_infinite_valuation_mismatch_text(self, tmp_path):
+        path = write_bfile(tmp_path / "b.txt", [(0, 0), (1, 0), (2, 1)])
+        report = oeis_check(SequenceSpec.dsum(), path, p=Prime(3))
+        assert report.status == "fail"
+        assert report.mismatches == [Mismatch(0, "0", "inf")]
+
+    def test_offset_mismatch_names_bfile_index(self, tmp_path):
+        # inclusive sums 1, 3, 9, 29 at file indices 0..3 are d(1)..d(4); 10 is wrong
+        path = write_bfile(tmp_path / "b.txt", [(0, 1), (1, 3), (2, 10), (3, 29)])
+        report = oeis_check(SequenceSpec.dsum(), path, offset=1)
+        assert report.status == "fail"
+        assert report.parameters == {"spec": "dsum", "file": "b.txt", "offset": "1"}
+        assert report.mismatches == [Mismatch(2, "10", "9")]

@@ -21,12 +21,13 @@ from legval.predictors import (
     recurrence_step,
 )
 from legval.sequences import (
+    SequenceSpec,
     central_delannoy,
     cigler_eval,
     cube_sum_2k,
+    eval_sequence,
     legendre_eval_rodrigues,
     partial_sum_central_binomial,
-    q_eval,
 )
 from legval.verify import CONJECTURE_IDS
 
@@ -233,7 +234,7 @@ class TestQPredictor:
     @pytest.mark.parametrize("p,r", GENERAL_CASES)
     def test_against_exact_oracle(self, p, r):
         for n in range(0, 100):
-            assert predict_vp_Q(p, r, n) == vp_rat(p, q_eval(n, r)), (p, r, n)
+            assert predict_vp_Q(p, r, n) == vp_rat(p, eval_sequence(SequenceSpec.q(r), n)), (p, r, n)
 
     @pytest.mark.parametrize("p,r", GENERAL_CASES)
     def test_scaling_bridge(self, p, r):

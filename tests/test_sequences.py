@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from legval.arith import INF, Prime
 from legval.sequences import (
@@ -17,7 +19,6 @@ from legval.sequences import (
     legendre_eval_rodrigues,
     legendre_eval_square_form,
     partial_sum_central_binomial,
-    q_eval,
 )
 
 X_SET = [
@@ -76,6 +77,14 @@ class TestSpec:
         for spec in specs:
             assert SequenceSpec.parse(spec.canonical()) == spec
 
+    @given(spec=st.one_of(
+        st.builds(SequenceSpec.legendre, st.fractions()),
+        st.builds(SequenceSpec.q, st.fractions()),
+        st.builds(SequenceSpec.cigler, st.fractions()),
+        st.sampled_from([SequenceSpec.delannoy(), SequenceSpec.dsum(), SequenceSpec.cube2k()])))
+    def test_canonical_round_trip_at_any_point(self, spec):
+        assert SequenceSpec.parse(spec.canonical()) == spec
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             SequenceSpec(SequenceKind.LEGENDRE)
@@ -105,9 +114,9 @@ class TestLegendreEvals:
         assert legendre_eval_square_form(1, -1) == -1
 
     def test_q_examples(self):
-        assert q_eval(1, Fraction(7, 5)) == Fraction(14, 5)
-        assert q_eval(0, Fraction(-3)) == 1
-        assert q_eval(2, 3) == 52
+        assert eval_sequence(SequenceSpec.q(Fraction(7, 5)), 1) == Fraction(14, 5)
+        assert eval_sequence(SequenceSpec.q(Fraction(-3)), 0) == 1
+        assert eval_sequence(SequenceSpec.q(3), 2) == 52
 
     @pytest.mark.parametrize("x", X_SET)
     def test_three_formulas_agree(self, x):
@@ -125,7 +134,7 @@ class TestLegendreEvals:
     @pytest.mark.parametrize("x", X_SET)
     def test_q_scaling(self, x):
         for n in range(0, 30):
-            assert q_eval(n, x) == 2**n * legendre_eval_rodrigues(n, x)
+            assert eval_sequence(SequenceSpec.q(x), n) == 2**n * legendre_eval_rodrigues(n, x)
 
     def test_parity_symmetry(self):
         for x in (Fraction(5, 3), Fraction(4)):
