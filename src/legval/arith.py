@@ -8,13 +8,16 @@ formulas (base-p digit sums, Legendre's two factorial-valuation formulas,
 the digit form of a binomial valuation, Kummer's carry count) that compute
 the same quantities without ever touching the large numbers they describe.
 
-All functions are pure; values are immutable and safe to share between
-threads or send to worker processes.
+All functions are pure, except ``unlimited_int_digits``, which changes the
+interpreter's int/str digit limit for its block; values are immutable and safe
+to share between threads or send to worker processes.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from fractions import Fraction
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "kummer_carries",
     "parse_rational",
     "format_rational",
+    "unlimited_int_digits",
 ]
 
 
@@ -339,3 +343,19 @@ def format_rational(r: Fraction | int) -> str:
     if r.denominator == 1:
         return str(r.numerator)
     return f"{r.numerator}/{r.denominator}"
+
+
+@contextmanager
+def unlimited_int_digits() -> Iterator[None]:
+    """Lifts CPython's limit on the digits of an int converted to or from
+    text for the duration of the block, and restores it after.  Exact values
+    outgrow the default limit of 4,300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

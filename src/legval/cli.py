@@ -24,7 +24,7 @@ from functools import partial
 from pathlib import Path
 from typing import TextIO
 
-from .arith import Prime, parse_rational
+from .arith import Prime, parse_rational, unlimited_int_digits
 from .miner import (
     DEFAULT_MIN_SUPPORT,
     ValuationTable,
@@ -231,8 +231,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
         raise UsageError("--max-e must be >= 0")
     N = args.N if args.N is not None else int(p) ** args.max_e * args.min_support * 4
     c_bound = args.c_bound if args.c_bound is not None else 2 * int(p)
-    table = _cached_table(args, spec, p, N)
     try:
+        table = _cached_table(args, spec, p, N)
         mined = mine_relations(table, args.max_e, args.min_support, c_bound=c_bound)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -382,20 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # exact values outgrow CPython's default int-to-str digit limit
-    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        if args.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.func(args)
-    except (UsageError, BFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
+    with unlimited_int_digits():
+        try:
+            if args.jobs < 1:
+                raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+            return args.func(args)
+        except (UsageError, BFileError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def entry() -> None:

@@ -273,6 +273,8 @@ def mine_relations(
     p = table.p
     if c_bound is None:
         c_bound = 2 * int(p)
+    if c_bound < 0:
+        raise ValueError("c_bound must be >= 0")
     deepest = p**max_e
     if (table.N - (deepest - 1)) // deepest + 1 < min_support:
         raise ValueError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import Prime
+from .arith import Prime, unlimited_int_digits
 from .sequences import SequenceSpec, iter_sequence_valuations, iter_sequence_values
 from .verify import VerificationReport, _differ, _report
 
@@ -33,7 +33,8 @@ def parse_bfile(path: str | Path) -> list[BFileRecord]:
     """Reads an OEIS b-file; raises BFileError with a line number on damage."""
     records: list[BFileRecord] = []
     last_index: int | None = None
-    with open(path, "r", encoding="ascii", errors="replace") as handle:
+    # an exact value can have more digits than int() reads by default
+    with open(path, "r", encoding="ascii", errors="replace") as handle, unlimited_int_digits():
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -15,25 +15,26 @@ running products, giving O(n) large-integer multiplications per evaluation.
 
 For batch work (valuation tables, verification sweeps) every kind is one
 record in ``_KINDS``: the summation above that gives a scaled integer U_n,
-the base B with value_n = U_n / B**n, and the coefficients of a three-term
-recurrence for U_n.  One stepper walks any index range in O(1) big-integer
-operations per step.  It reaches the start of a range by jumping from U_0
-and U_1 with a binary-split product of the recurrence's companion matrices,
-so a chunk starting at n costs about as much as a few multiplications of
-numbers of U_n's size, not an O(n**2) summation.  ``eval_sequence`` reads a
-record's summation and base; the ``iter_sequence_*`` generators are views
-over the stepper.  The cube-weighted sum has no certified recurrence yet and
-is summed at every index.  The direct formulas stay the independent oracle
-the test suite checks the stepper against.
+the base B with value_n = U_n / B**n, and a recurrence of order k for U_n
+(3 for the cube-weighted sum, else 2).  One stepper walks any index range in
+O(1) big-integer operations per step.  It reaches the start of a range by
+jumping from U_0, ..., U_{k-1} with a binary-split product of the
+recurrence's companion matrices, so a chunk starting at n costs about as much
+as a few multiplications of numbers of U_n's size, not an O(n**2) summation.
+``eval_sequence`` reads a record's summation and base; the ``iter_sequence_*``
+generators are views over the stepper.  The direct formulas stay the
+independent oracle the test suite checks the stepper against.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterator
 
 from .arith import INF, PadicVal, Prime, vp_int
@@ -276,9 +277,9 @@ def cube_sum_2k(n: int) -> int:
 #
 # Each kind is one ``_Kind`` record in ``_KINDS``.  ``direct(n, r)`` is a
 # scaled integer U_n computed by the summations above, ``base(r)`` is the B
-# with value_n = U_n / B**n, and ``step(r)`` holds the coefficients of
-#     D(n)*U_n = A(n)*U_{n-1} + C(n)*U_{n-2}
-# as three pairs (c0, c1), each meaning c0 + c1*n.  With r = a/b:
+# with value_n = U_n / B**n, and ``step(r)`` is n -> (D(n), (A_1(n), ..., A_k(n))),
+# written as the recurrence of order k
+#     D(n)*U_n = A_1(n)*U_{n-1} + ... + A_k(n)*U_{n-k}.  With r = a/b:
 #
 #   legendre  U_n = (2b)**n * P_n(a/b), B = 2b.  Scaling Bonnet's
 #             n*P_n = (2n-1)*x*P_{n-1} - (n-1)*P_{n-2} gives
@@ -289,39 +290,40 @@ def cube_sum_2k(n: int) -> int:
 #   delannoy  B = 1; n*U_n = 3*(2n-1)*U_{n-1} - (n-1)*U_{n-2}.
 #   dsum      B = 1; (n-1)*U_n = (5n-7)*U_{n-1} - 2*(2n-3)*U_{n-2}, because
 #             U_n - U_{n-1} = C(2n-2, n-1) = 2*(2n-3)/(n-1) * C(2n-4, n-2).
-#   cube2k    B = 1 and no step: summed directly at every index.  Its
-#             shortest known recurrence (order 3, cubic coefficients) is only
-#             fitted to terms, not certified, so it does not drive sweeps yet.
+#   cube2k    B = 1; n**2*(3n-5)*U_n = 3*(9n**3-24n**2+17n-4)*U_{n-1}
+#             + 3*(3n-4)*(9n**2-21n+11)*U_{n-2} + 27*(n-2)**2*(3n-2)*U_{n-3},
+#             proved by a Zeilberger telescoping certificate (Petkovsek, Wilf
+#             & Zeilberger, A=B, 1996) that the test suite checks.
 #
-# Every division by D(n) is exact, and D(n) != 0 for n >= 2.  In matrix form
-#     D(n) * (U_n, U_{n-1}) = M(n) * (U_{n-1}, U_{n-2}),  M(n) = [[A(n), C(n)],
-#                                                                [D(n), 0   ]],
-# so M(s+1)...M(2) * (U_1, U_0) = D(2)...D(s+1) * (U_{s+1}, U_s).
-# ``_iter_scaled`` seeds any range start s this way from ``direct(0)`` and
-# ``direct(1)``, multiplying the integer matrices by binary splitting
-# (Bostan, Gaudry & Schost 2007) and dividing once, exactly, at the end.  The
-# integers are the ones a sweep from 0 reaches, so a range split into chunks
-# yields the same values as one sweep.
+# Every division by D(n) is exact, and D(n) != 0 for n >= k.  With the k x k
+# companion matrix M(n), row 0 (A_1(n), ..., A_k(n)), D(n) on the subdiagonal,
+#     D(n) * (U_n, ..., U_{n-k+1}) = M(n) * (U_{n-1}, ..., U_{n-k}),
+# so M(s+k-1)...M(k) * (U_{k-1}, ..., U_0) = D(k)...D(s+k-1) * (U_{s+k-1}, ..., U_s).
+# ``_iter_scaled`` seeds any range start s this way from ``direct(0..k-1)``,
+# multiplying the integer matrices by binary splitting (Bostan, Gaudry &
+# Schost 2007) and dividing once, exactly, at the end.  The integers are the
+# ones a sweep from 0 reaches, so a range split into chunks yields the same
+# values as one sweep.
 # ---------------------------------------------------------------------------
 
-_Linear = tuple[int, int]  # (c0, c1) stands for c0 + c1*n
+_Step = Callable[[int], tuple[int, tuple[int, ...]]]  # n -> (D(n), (A_1(n), ..., A_k(n)))
 
 
 @dataclass(frozen=True)
 class _Kind:
     direct: Callable[[int, Fraction | None], int]
     base: Callable[[Fraction | None], int]
-    step: Callable[[Fraction | None], tuple[_Linear, _Linear, _Linear] | None]
+    step: Callable[[Fraction | None], _Step]
 
 
-def _rodrigues_step(r: Fraction) -> tuple[_Linear, _Linear, _Linear]:
+def _rodrigues_step(r: Fraction) -> _Step:
     a, bb = r.numerator, r.denominator**2
-    return (0, 1), (-2 * a, 4 * a), (4 * bb, -4 * bb)
+    return lambda n: (n, (2 * a * (2 * n - 1), -4 * bb * (n - 1)))
 
 
-def _cigler_step(r: Fraction) -> tuple[_Linear, _Linear, _Linear]:
+def _cigler_step(r: Fraction) -> _Step:
     a, c = r.numerator, (2 * r.denominator - r.numerator) ** 2
-    return (0, 1), (-a, 2 * a), (c, -c)
+    return lambda n: (n, (a * (2 * n - 1), -c * (n - 1)))
 
 
 _KINDS = {
@@ -343,17 +345,19 @@ _KINDS = {
     SequenceKind.DELANNOY: _Kind(
         direct=lambda n, r: central_delannoy(n),
         base=lambda r: 1,
-        step=lambda r: ((0, 1), (-3, 6), (1, -1)),
+        step=lambda r: lambda n: (n, (3 * (2 * n - 1), -(n - 1))),
     ),
     SequenceKind.DSUM: _Kind(
         direct=lambda n, r: partial_sum_central_binomial(n),
         base=lambda r: 1,
-        step=lambda r: ((-1, 1), (-7, 5), (6, -4)),
+        step=lambda r: lambda n: (n - 1, (5 * n - 7, -2 * (2 * n - 3))),
     ),
     SequenceKind.CUBE2K: _Kind(
         direct=lambda n, r: cube_sum_2k(n),
         base=lambda r: 1,
-        step=lambda r: None,
+        step=lambda r: lambda n: (n * n * (3 * n - 5), (3 * (9 * n**3 - 24 * n**2 + 17 * n - 4),
+                                                        3 * (3 * n - 4) * (9 * n**2 - 21 * n + 11),
+                                                        27 * (n - 2) ** 2 * (3 * n - 2))),
     ),
 }
 
@@ -365,19 +369,18 @@ def eval_sequence(spec: SequenceSpec, n: int) -> Fraction:
     return Fraction(kind.direct(n, spec.r), kind.base(spec.r) ** n)
 
 
-def _companion_product(step: tuple[_Linear, _Linear, _Linear], lo: int, hi: int
-                       ) -> tuple[tuple[int, int, int, int], int]:
-    """M(hi-1)...M(lo) as (m00, m01, m10, m11), and D(lo)...D(hi-1), for
-    lo < hi, by binary splitting."""
+def _companion_product(step: _Step, lo: int, hi: int) -> tuple[list[list[int]], int]:
+    """M(hi-1)...M(lo) as a list of rows, and D(lo)...D(hi-1), for lo < hi,
+    by binary splitting."""
     if hi - lo == 1:
-        (d0, d1), (a0, a1), (c0, c1) = step
-        d = d0 + d1 * lo
-        return (a0 + a1 * lo, c0 + c1 * lo, d, 0), d
+        d, a = step(lo)
+        return [list(a)] + [[d if j == i - 1 else 0 for j in range(len(a))]
+                            for i in range(1, len(a))], d
     mid = (lo + hi) // 2
-    (p00, p01, p10, p11), pd = _companion_product(step, mid, hi)
-    (q00, q01, q10, q11), qd = _companion_product(step, lo, mid)
-    return (p00 * q00 + p01 * q10, p00 * q01 + p01 * q11,
-            p10 * q00 + p11 * q10, p10 * q01 + p11 * q11), pd * qd
+    p, pd = _companion_product(step, mid, hi)
+    q, qd = _companion_product(step, lo, mid)
+    columns = list(zip(*q))
+    return [[sum(map(mul, row, col)) for col in columns] for row in p], pd * qd
 
 
 def _iter_scaled(spec: SequenceSpec, start: int, stop: int) -> Iterator[int]:
@@ -386,22 +389,22 @@ def _iter_scaled(spec: SequenceSpec, start: int, stop: int) -> Iterator[int]:
         raise ValueError(f"bad index range [{start}, {stop})")
     kind = _KINDS[spec.kind]
     step = kind.step(spec.r)
-    if step is None:
-        for n in range(start, stop):
-            yield kind.direct(n, spec.r)
-        return
-    m2, m1 = kind.direct(0, spec.r), kind.direct(1, spec.r)
+    k = len(step(0)[1])
+    seeds = [kind.direct(n, spec.r) for n in reversed(range(k))]  # U_{k-1}, ..., U_0
     if start:
-        (t00, t01, t10, t11), d = _companion_product(step, 2, start + 2)
-        (m1, rem1), (m2, rem2) = divmod(t00 * m1 + t01 * m2, d), divmod(t10 * m1 + t11 * m2, d)
-        assert rem1 == rem2 == 0, f"{spec.canonical()} jump to {start} lost exactness"
-    yield from (m2, m1)[: stop - start]
-    (d0, d1), (a0, a1), (c0, c1) = step
-    for n in range(start + 2, stop):
-        u, rem = divmod((a0 + a1 * n) * m1 + (c0 + c1 * n) * m2, d0 + d1 * n)
+        rows, d = _companion_product(step, k, start + k)
+        seeds, rems = zip(*(divmod(sum(map(mul, row, seeds)), d) for row in rows))
+        assert not any(rems), f"{spec.canonical()} jump to {start} lost exactness"
+    yield from seeds[::-1][: stop - start]
+    window = deque(seeds, maxlen=k)  # U_{n-1}, ..., U_{n-k} for the next n
+    for n in range(start + k, stop):
+        d, a = step(n)
+        # sum from the first product: sum()'s 0 + term would copy a big integer
+        terms = map(mul, a, window)
+        u, rem = divmod(sum(terms, next(terms)), d)
         assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
         yield u
-        m2, m1 = m1, u
+        window.appendleft(u)
 
 
 def iter_sequence_values(spec: SequenceSpec, stop: int, start: int = 0) -> Iterator[Fraction]:

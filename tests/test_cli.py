@@ -351,6 +351,13 @@ class TestBounds:
         assert out == ""
         assert "--jobs" in err
 
+    @pytest.mark.parametrize("option", ["--N", "--c-bound"])
+    def test_mine_negative_bound_exits_two(self, capsys, option):
+        code, out, err = run(capsys, "--no-timestamp", "mine", "--seq", "dsum", "--p", "3", option, "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 def readme_examples() -> list[tuple[list[str], str]]:
     """Each '$ legval ...' line of README's CLI block, as its arguments and

@@ -1,4 +1,5 @@
 import math
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -62,6 +63,12 @@ class TestParse:
         path.write_text("0 x\n")
         with pytest.raises(BFileError):
             parse_bfile(path)
+
+    def test_value_beyond_int_str_digit_limit(self, tmp_path):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        path = write_bfile(tmp_path / "b.txt", [(0, 1), (1, "9" * 4400)])
+        assert [(r.index, r.value) for r in parse_bfile(path)] == [(0, 1), (1, 10**4400 - 1)]
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_decreasing_indices(self, tmp_path):
         path = tmp_path / "b.txt"

@@ -200,6 +200,51 @@ class TestIntegerSequences:
             )
 
 
+class TestCube2kCertificate:
+    """Proves the order-3 recurrence that the stepper uses for cube2k.
+
+    With F(n,k) = C(n,k)**3 * 2**k and the certificate
+    R(n,k) = k**3 * P(n,k) / ((n+1-k)(n+2-k)(n+3-k))**3, Zeilberger's
+    telescoping identity reads
+        sum_i c_i(n) * F(n+i,k) = G(n,k+1) - G(n,k),  G = R*F,
+    where c_3 = D(n+3) and c_{3-j} = -A_j(n+3) for the library's
+    D(m)*U_m = A_1(m)*U_{m-1} + A_2(m)*U_{m-2} + A_3(m)*U_{m-3}.
+    Dividing by F(n,k) and clearing the denominators of R turns it into the
+    polynomial identity checked below.  In factorial form
+    G(n,k) = k**3 * P(n,k) * 2**k * (n! / (k! (n+3-k)!))**3, which vanishes
+    at k = 0 and for k >= n+4, so summing the identity over all k leaves
+    sum_i c_i(n) * U_{n+i} = 0 for every n >= 0 (Petkovsek, Wilf &
+    Zeilberger, A=B, 1996).
+    """
+
+    def test_telescoping_identity(self):
+        import sympy
+
+        from legval.sequences import _KINDS
+
+        n, k = sympy.symbols("n k")
+        p_coeffs = [  # of k**0, ..., k**6
+            -(n + 1)**2 * (n + 2) * (n + 3)**2 * (93*n**4 + 742*n**3 + 2219*n**2 + 2936*n + 1438),
+            3 * (n + 1)**2 * (n + 3) * (123*n**5 + 1343*n**4 + 5850*n**3 + 12679*n**2 + 13636*n + 5803),
+            -3 * (n + 1)**2 * (240*n**5 + 2819*n**4 + 13160*n**3 + 30477*n**2 + 34954*n + 15850),
+            3 * (n + 1)**2 * (273*n**4 + 2569*n**3 + 8989*n**2 + 13844*n + 7907),
+            -3 * (n + 1)**2 * (3*n + 7) * (60*n**2 + 280*n + 319),
+            9 * (n + 1)**2 * (3*n + 7) * (7*n + 16),
+            -9 * (n + 1)**2 * (3*n + 7),
+        ]
+
+        def P(kk):
+            return sum(c * kk**j for j, c in enumerate(p_coeffs))
+
+        d, a = _KINDS[SequenceKind.CUBE2K].step(None)(n + 3)
+        assert len(a) == 3
+        c = [-a[2], -a[1], -a[0], d]
+        lhs = sum(c[i] * sympy.prod([n + j for j in range(1, i + 1)])**3
+                  * sympy.prod([n + j - k for j in range(i + 1, 4)])**3 for i in range(4))
+        rhs = 2 * P(k + 1) * (n + 3 - k)**3 - k**3 * P(k)
+        assert sympy.expand(lhs - rhs) == 0
+
+
 class TestEvalSequence:
     def test_dispatch(self):
         assert eval_sequence(SequenceSpec.delannoy(), 2) == 13
@@ -271,6 +316,7 @@ JUMP_SPECS = [
     SequenceSpec.cigler(Fraction(7, 2)),
     SequenceSpec.delannoy(),
     SequenceSpec.dsum(),  # D(n) = n - 1 vanishes at n = 1
+    SequenceSpec.cube2k(),  # order 3
 ]
 
 
@@ -298,7 +344,6 @@ class TestJumpAhead:
     def test_short_ranges(self, spec):
         from legval.sequences import _iter_scaled
 
-        sweep = list(_iter_scaled(spec, 0, 245))
-        assert list(_iter_scaled(spec, 243, 243)) == []
-        assert list(_iter_scaled(spec, 243, 244)) == sweep[243:244]
-        assert list(_iter_scaled(spec, 243, 245)) == sweep[243:245]
+        sweep = list(_iter_scaled(spec, 0, 247))
+        for length in range(4):  # up to one past the seeds of an order-3 recurrence
+            assert list(_iter_scaled(spec, 243, 243 + length)) == sweep[243:243 + length]

@@ -184,6 +184,19 @@ class TestMismatchText:
         assert report.status == "counterexample-found"
         assert report.mismatches == [Mismatch(3, "99", "2", detail="value=171")]
 
+    def test_conj2_value_beyond_int_str_digit_limit(self, monkeypatch):
+        from legval.arith import unlimited_int_digits
+        from legval.sequences import cube_sum_2k
+
+        self._bump(monkeypatch, "predict_cube_sum_v3", lambda n: n == 5300, by=97)
+        report = verify_conj2(5300, 5300)
+        assert report.status == "counterexample-found"
+        [m] = report.mismatches
+        assert (m.n, int(m.predicted)) == (5300, int(m.actual) + 97)
+        with unlimited_int_digits():
+            assert m.detail == f"value={cube_sum_2k(5300)}"
+        assert len(m.detail) > 4300
+
     def test_lemma6_digit_form(self, monkeypatch):
         self._bump(monkeypatch, "digit_sum", lambda p, m: m == 4)
         report = verify_lemma6(Prime(3), 0, 6)
