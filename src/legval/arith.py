@@ -264,23 +264,14 @@ def digit_sum(p: Prime, n: int) -> int:
 
 
 def digit_sum_prefix(p: Prime, count: int) -> list[int]:
-    """Base-p digit sums of 0, 1, ..., count-1 in one O(count) sweep.
-
-    Incrementing n turns a trailing run of (p-1)-digits into zeros and bumps
-    the next digit, so s(n) = s(n-1) + 1 - (p-1) * len(run).  Batch sweeps
-    over millions of indices are ~20x faster than per-index digit loops.
-    """
+    """Base-p digit sums of 0, 1, ..., count-1 in one O(count) sweep, by
+    s(n) = s(n // p) + n mod p.  Batch sweeps over millions of indices are
+    ~20x faster than per-index digit loops."""
     if count < 0:
         raise ValueError("count must be >= 0")
     out = [0] * count
-    s = 0
     for n in range(1, count):
-        m = n - 1
-        s += 1
-        while m % p == p - 1:
-            s -= p - 1
-            m //= p
-        out[n] = s
+        out[n] = out[n // p] + n % p
     return out
 
 

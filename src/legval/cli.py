@@ -60,7 +60,7 @@ _PREDICTORS = {
     "thm4-digits": lambda p: partial(predict_vp_legendre_at_p_digits, p),
     "thm4-rec": lambda p: partial(predict_by_recurrence, p),
     "thm5": lambda: predict_vp_legendre_at_2,
-    "q": lambda p, r: partial(predict_vp_Q, p, r),
+    "q": lambda p, r: partial(predict_vp_Q, PredictionContext(p, r)),
     "cigler": lambda p: partial(predict_vp_cigler, p),
     "conj1": lambda: predict_b_conjecture1,
     "conj2": lambda: predict_cube_sum_v3,

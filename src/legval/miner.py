@@ -95,13 +95,15 @@ class ValuationTable:
         return cls(spec, p, tuple(values))
 
     def truncated(self, N: int) -> "ValuationTable":
+        if N < 0:
+            raise ValueError("table length must be >= 0")
         if N > self.N:
             raise ValueError(f"cannot extend table of length {self.N} to {N}")
         return ValuationTable(self.spec, self.p, self.values[: N + 1])
 
 
-def _chunk_worker(spec: SequenceSpec, p: Prime, start: int, stop: int) -> list[PadicVal]:
-    return [v for v, _bits in iter_valuations_with_bits(spec, p, stop, start)]
+def _chunk_worker(spec: SequenceSpec, p: Prime, start: int, stop: int) -> tuple[PadicVal, ...]:
+    return tuple(v for v, _bits in iter_valuations_with_bits(spec, p, stop, start))
 
 
 def worker_count(jobs: int, cpus: int, chunks: int) -> int:
@@ -120,28 +122,21 @@ def _usable_cpus() -> int:
 def build_table(spec: SequenceSpec, p: Prime, N: int, *, jobs: int = 1) -> ValuationTable:
     """Table of vp(value at n) for n = 0..N.
 
-    With jobs > 1 the index range is split into contiguous chunks computed
-    in worker processes, one chunk per worker (see ``worker_count``); each
-    chunk jumps its recurrence to the chunk start by an exact companion-matrix
-    product, so the result is identical for any worker count.
+    The index range is split into contiguous chunks, one per worker (see
+    ``worker_count``; one below 257 entries).  A single chunk runs in this
+    process, more run in worker processes.  Each chunk jumps its recurrence
+    to its start by an exact companion-matrix product, so the result is
+    identical for any worker count.
     """
     if N < 0:
         raise ValueError("table length must be >= 0")
-    workers = worker_count(jobs, _usable_cpus(), N + 1)
-    if workers == 1 or N < 256:
-        return ValuationTable(spec, p, tuple(v for v, _bits in iter_valuations_with_bits(spec, p, N + 1)))
-
-    bounds = [0]
-    step, extra = divmod(N + 1, workers)
-    for k in range(workers):
-        bounds.append(bounds[-1] + step + (1 if k < extra else 0))
+    workers = worker_count(jobs, _usable_cpus(), N + 1) if N >= 256 else 1
+    if workers == 1:
+        return ValuationTable(spec, p, _chunk_worker(spec, p, 0, N + 1))
+    bounds = [(N + 1) * k // workers for k in range(workers + 1)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_chunk_worker, spec, p, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        values = [v for f in futures for v in f.result()]
-    return ValuationTable(spec, p, tuple(values))
+        chunks = pool.map(_chunk_worker, [spec] * workers, [p] * workers, bounds, bounds[1:])
+        return ValuationTable(spec, p, tuple(v for chunk in chunks for v in chunk))
 
 
 @dataclass(frozen=True)

@@ -52,39 +52,28 @@ def _require_odd_prime(p: Prime) -> None:
         raise ValueError("this predictor requires an odd prime p >= 3")
 
 
-def _require_high_valuation(p: Prime, r: Fraction) -> None:
-    if not vp_rat(p, r) >= 1:
-        raise ValueError(
-            f"hypothesis violated: vp(r) >= 1 required, but v_{int(p)}({r}) = {vp_rat(p, r)}"
-        )
-
-
 @dataclass(frozen=True)
 class PredictionContext:
-    """Prime p plus, when needed, a rational point r with vp(r) >= 1.
+    """Prime p and rational point r with vp(r) >= 1.
 
-    Construction enforces the valuation hypothesis, so downstream
-    predictors can assume it.
+    Construction is the one check of this hypothesis of Theorem 3 and
+    Lemmas 8-9, so the predictors that take a context can assume it.
     """
 
     p: Prime
-    r: Fraction | None = None
+    r: Fraction
 
     def __post_init__(self) -> None:
-        if self.r is not None:
-            object.__setattr__(self, "r", Fraction(self.r))
-            _require_high_valuation(self.p, self.r)
-
-    def _require_r(self) -> Fraction:
-        if self.r is None:
-            raise ValueError("this predictor needs an evaluation point r in its context")
-        return self.r
+        object.__setattr__(self, "r", Fraction(self.r))
+        v = vp_rat(self.p, self.r)
+        if not v >= 1:
+            raise ValueError(
+                f"hypothesis violated: vp(r) >= 1 required, but v_{int(self.p)}({self.r}) = {v}")
 
 
 def predict_vp_legendre_general(ctx: PredictionContext, n: int) -> PadicVal:
     """vp(P_n(r)) for vp(r) >= 1, split over the parities of n and p = 2."""
-    r = ctx._require_r()
-    p = ctx.p
+    p, r = ctx.p, ctx.r
     if n % 2 == 0:
         v = binomial_valuation_digits(p, n, n // 2)
         return PadicVal(v if p >= 3 else v - n)
@@ -97,8 +86,7 @@ def predict_vp_legendre_general(ctx: PredictionContext, n: int) -> PadicVal:
 def predict_vp_legendre_general_oneline(ctx: PredictionContext, n: int) -> PadicVal:
     """Same prediction in one closed form:
     vp(2**-n * C(n, n//2)) + (n mod 2) * vp(r * (n+1))."""
-    r = ctx._require_r()
-    p = ctx.p
+    p, r = ctx.p, ctx.r
     base = binomial_valuation_digits(p, n, n // 2) - n * (1 if p == 2 else 0)
     if n % 2 == 0:
         return PadicVal(base)
@@ -217,12 +205,11 @@ def predict_cube_sum_v3(n: int) -> PadicVal:
     return PadicVal(digit_sum(p3, (n + 1) // 2))
 
 
-def predict_vp_Q(p: Prime, r: Fraction, n: int) -> PadicVal:
+def predict_vp_Q(ctx: PredictionContext, n: int) -> PadicVal:
     """vp(Q_n(r)) = vp(2**n * P_n(r)) for vp(r) >= 1, by parity of n."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    r = Fraction(r)
-    _require_high_valuation(p, r)
+    p, r = ctx.p, ctx.r
     m = n // 2
     v = binomial_valuation_digits(p, 2 * m, m)
     if n % 2 == 0:
@@ -234,5 +221,4 @@ def predict_vp_Q(p: Prime, r: Fraction, n: int) -> PadicVal:
 
 def predict_vp_cigler(p: Prime, n: int) -> PadicVal:
     """vp(M_n(p)) for odd p; provably equal to vp(P_n(p))."""
-    _require_odd_prime(p)
     return predict_vp_legendre_at_p_digits(p, n)

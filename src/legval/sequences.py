@@ -109,12 +109,9 @@ class SequenceSpec:
         return cls(SequenceKind.CUBE2K)
 
     def canonical(self) -> str:
-        """Stable text form, e.g. 'legendre(3/5)' or 'delannoy'."""
-        if self.r is None:
-            return self.kind.value
-        if self.r.denominator == 1:
-            return f"{self.kind.value}({self.r.numerator})"
-        return f"{self.kind.value}({self.r.numerator}/{self.r.denominator})"
+        """Stable text form, e.g. 'legendre(3/5)' or 'delannoy'; str of a
+        Fraction is the 'num/den' form that ``format_rational`` writes."""
+        return self.kind.value if self.r is None else f"{self.kind.value}({self.r})"
 
     @classmethod
     def parse(cls, text: str) -> "SequenceSpec":

@@ -277,12 +277,12 @@ def verify_lemma6(p: Prime, lo: int, hi: int) -> VerificationReport:
 
 def _verify_q_parity(theorem_id: str, parity: int, p: Prime, r: Fraction,
                      lo: int, hi: int, jobs: int) -> VerificationReport:
-    _context(p, r)  # checks vp(r) >= 1; predict_vp_Q takes p and r
+    ctx = _context(p, r)
     params = _range_params(lo, hi, p=str(int(p)), r=format_rational(r))
     table = build_table(SequenceSpec.q(r), p, hi, jobs=jobs)
     indices = range(lo + (lo + parity) % 2, hi + 1, 2)
     return _report(theorem_id, params, len(indices), (
-        _differ(n, predict_vp_Q(p, r, n), table.values[n]) for n in indices))
+        _differ(n, predict_vp_Q(ctx, n), table.values[n]) for n in indices))
 
 
 def verify_lemma8(p: Prime, r: Fraction, lo: int, hi: int, jobs: int = 1) -> VerificationReport:

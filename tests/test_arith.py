@@ -222,9 +222,10 @@ class TestDigitSum:
                 assert digit_sum(Prime(p), n) == sum(sympy_digits(n, p)[1:])
 
     def test_prefix_sweep_matches_pointwise(self):
-        for p in (2, 3, 5):
-            pre = digit_sum_prefix(Prime(p), 2000)
-            assert pre == [digit_sum(Prime(p), n) for n in range(2000)]
+        for p in (2, 3, 5, 7, 11):
+            for count in (0, 1, 2000):
+                pre = digit_sum_prefix(Prime(p), count)
+                assert pre == [digit_sum(Prime(p), n) for n in range(count)]
 
     def test_digit_shift_identity(self):
         # s_p(n*p + a) = s_p(n) + a for 0 <= a < p.

@@ -358,6 +358,11 @@ class TestBounds:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_mine_negative_length_with_warm_cache_exits_two(self, capsys, tmp_path):
+        mine = ["--cache", str(tmp_path), "mine", "--seq", "dsum", "--p", "3", "--N"]
+        assert run(capsys, *mine, "2000")[0] == 0
+        assert run(capsys, *mine, "-1") == (2, "", "error: table length must be >= 0\n")
+
 
 def readme_examples() -> list[tuple[list[str], str]]:
     """Each '$ legval ...' line of README's CLI block, as its arguments and

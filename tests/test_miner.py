@@ -202,6 +202,8 @@ class TestPersistence:
         assert list(short.values) == [0, 1, 0, 2, 1]
         with pytest.raises(ValueError):
             short.truncated(10)
+        with pytest.raises(ValueError, match="table length must be >= 0"):
+            short.truncated(-1)
 
 
 class TestVerifyRelation:

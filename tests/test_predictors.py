@@ -49,7 +49,6 @@ GENERAL_CASES = [
 class TestContext:
     def test_accepts_valid(self):
         PredictionContext(Prime(3), Fraction(9, 5))
-        PredictionContext(Prime(3))  # r optional
 
     def test_rejects_low_valuation(self):
         with pytest.raises(ValueError):
@@ -223,25 +222,26 @@ class TestCubeSum:
 
 class TestQPredictor:
     def test_examples(self):
-        assert predict_vp_Q(Prime(3), Fraction(3), 0) == 0
-        assert predict_vp_Q(Prime(2), Fraction(2), 1) == 2
-        assert predict_vp_Q(Prime(3), Fraction(9), 3) == 3
+        assert predict_vp_Q(PredictionContext(Prime(3), Fraction(3)), 0) == 0
+        assert predict_vp_Q(PredictionContext(Prime(2), Fraction(2)), 1) == 2
+        assert predict_vp_Q(PredictionContext(Prime(3), Fraction(9)), 3) == 3
 
     def test_rejects_hypothesis_violation(self):
         with pytest.raises(ValueError):
-            predict_vp_Q(Prime(3), Fraction(1, 3), 2)
+            predict_vp_Q(PredictionContext(Prime(3), Fraction(1, 3)), 2)
 
     @pytest.mark.parametrize("p,r", GENERAL_CASES)
     def test_against_exact_oracle(self, p, r):
+        ctx = PredictionContext(p, r)
         for n in range(0, 100):
-            assert predict_vp_Q(p, r, n) == vp_rat(p, eval_sequence(SequenceSpec.q(r), n)), (p, r, n)
+            assert predict_vp_Q(ctx, n) == vp_rat(p, eval_sequence(SequenceSpec.q(r), n)), (p, r, n)
 
     @pytest.mark.parametrize("p,r", GENERAL_CASES)
     def test_scaling_bridge(self, p, r):
         ctx = PredictionContext(p, r)
         shift = 1 if p == 2 else 0
         for n in range(0, 100):
-            assert predict_vp_Q(p, r, n) == predict_vp_legendre_general(ctx, n) + n * shift
+            assert predict_vp_Q(ctx, n) == predict_vp_legendre_general(ctx, n) + n * shift
 
 
 class TestCiglerPredictor:
