@@ -15,7 +15,6 @@ from .arith import (
     digit_sum_prefix,
     factorial_valuation_digits,
     factorial_valuation_floor,
-    format_rational,
     kummer_carries,
     parse_rational,
     vp_int,

@@ -33,7 +33,6 @@ __all__ = [
     "binomial_valuation_digits",
     "kummer_carries",
     "parse_rational",
-    "format_rational",
     "unlimited_int_digits",
 ]
 
@@ -326,14 +325,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
-
-
-def format_rational(r: Fraction | int) -> str:
-    """Render exactly as 'num/den', omitting '/den' when the denominator is 1."""
-    r = Fraction(r)
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
 
 
 @contextmanager

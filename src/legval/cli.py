@@ -20,7 +20,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import TextIO
 
@@ -146,7 +146,7 @@ def _stream_rows(args: argparse.Namespace, column: str, pairs: Iterable[tuple[in
 def cmd_eval(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     lo, hi = _parse_range(args.n)
-    # str of a Fraction is its exact 'num/den' form, as format_rational writes it
+    # str of a Fraction is its exact 'num/den' form, with no '/1' on an integer
     _stream_rows(args, "value", zip(range(lo, hi + 1), iter_sequence_values(spec, hi + 1, lo)))
     return 0
 
@@ -305,6 +305,7 @@ def _add_seq_options(sub: argparse.ArgumentParser) -> None:
                      help="evaluation point for legendre/q/cigler, e.g. 3 or 9/5")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="legval",

@@ -86,10 +86,14 @@ class ValuationTable:
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            parts = line.split()
-            if len(parts) != 2 or int(parts[0]) != len(values):
-                raise ValueError(f"{path}:{lineno}: expected '{len(values)} <value>', got {line!r}")
-            values.append(PadicVal.parse(parts[1]))
+            try:
+                n, value = line.split()  # ValueError unless exactly two fields
+                if int(n) != len(values):
+                    raise ValueError
+                values.append(PadicVal.parse(value))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected '{len(values)} <value>', got {line!r}") from None
         if len(values) != n_expected + 1:
             raise ValueError(f"{path}: header says N={n_expected} but {len(values)} entries present")
         return cls(spec, p, tuple(values))
@@ -183,66 +187,56 @@ def format_relation(cand: RelationCandidate, p: Prime) -> str:
     return eq
 
 
+def _ints(table: ValuationTable) -> list[int | None]:
+    """Entries as ints, None for infinity; class p**e * n + i is ``ints[i::p**e]``."""
+    return [None if v.is_infinite else v.value for v in table.values]
+
+
 def verify_relation(table: ValuationTable, cand: RelationCandidate) -> MinedRelation:
-    """Exhaustively checks a candidate on every testable index of the table."""
+    """Checks a candidate on every testable index: each pair of its zipped class slices."""
     p = table.p
     pe, pe2 = p**cand.e, p**cand.e2
     if not 0 <= cand.i < pe or not 0 <= cand.j < pe2:
         raise ValueError(f"candidate offsets out of range for p={int(p)}: {cand}")
-    n_max = min((table.N - cand.i) // pe, (table.N - cand.j) // pe2)
-    support = violations = skipped = 0
-    values = table.values
-    for n in range(n_max + 1):
-        lhs = values[pe * n + cand.i]
-        rhs = values[pe2 * n + cand.j]
-        if lhs.is_infinite or rhs.is_infinite:
-            skipped += 1
-            continue
-        support += 1
-        if lhs.value != rhs.value + cand.c:
-            violations += 1
-    return MinedRelation(cand, support, violations, skipped)
+    ints = _ints(table)
+    lhs, rhs = ints[cand.i::pe], ints[cand.j::pe2]
+    finite = [(a, b) for a, b in zip(lhs, rhs) if a is not None and b is not None]
+    violations = sum(a != b + cand.c for a, b in finite)
+    return MinedRelation(cand, len(finite), violations, min(len(lhs), len(rhs)) - len(finite))
 
 
 def _best_relation(
-    table: ValuationTable, e: int, i: int, min_support: int, c_bound: int
+    classes: list[list[list[int | None]]], e: int, i: int, min_support: int, c_bound: int
 ) -> MinedRelation | None:
     """Shallowest relation explaining class (e, i), or None.
 
-    Candidates are scanned by (e2 ascending, j ascending); the offset c is
-    forced by the first testable index, so this realizes the preference
-    order: smallest e2, then smallest j, then the unique admissible c.
+    ``classes[e2][j]`` is the slice ``ints[j::p**e2]`` for e2 <= e.  Candidates
+    are scanned by (e2 ascending, j ascending); the first testable index
+    forces c and the first other difference drops the candidate, so this
+    realizes the preference order: smallest e2, then smallest j, then c.
     """
-    p = table.p
-    values = table.values
-    pe = p**e
-    for e2 in range(e + 1):
-        pe2 = p**e2
-        for j in range(pe2):
+    lhs_class = classes[e][i]
+    for e2, level in enumerate(classes):
+        for j, rhs_class in enumerate(level):
             if e2 == e and j == i:
                 continue  # the identity relation explains nothing
-            n_max = min((table.N - i) // pe, (table.N - j) // pe2)
             c = None
             support = 0
-            ok = True
-            for n in range(n_max + 1):
-                lhs = values[pe * n + i]
-                rhs = values[pe2 * n + j]
-                if lhs.is_infinite or rhs.is_infinite:
+            for lhs, rhs in zip(lhs_class, rhs_class):
+                if lhs is None or rhs is None:
                     continue
-                diff = lhs.value - rhs.value
+                diff = lhs - rhs
                 if c is None:
-                    c = diff
-                    if abs(c) > c_bound:
-                        ok = False
+                    if abs(diff) > c_bound:
                         break
+                    c = diff
                 elif diff != c:
-                    ok = False
                     break
                 support += 1
-            if ok and c is not None and support >= min_support:
-                cand = RelationCandidate(e, i, e2, j, c)
-                return MinedRelation(cand, support, 0, (n_max + 1) - support)
+            else:
+                if c is not None and support >= min_support:
+                    pairs = min(len(lhs_class), len(rhs_class))
+                    return MinedRelation(RelationCandidate(e, i, e2, j, c), support, 0, pairs - support)
     return None
 
 
@@ -259,7 +253,8 @@ def mine_relations(
     already explained at a shallower level; an accepted relation stops the
     descent below its class.  Relations are exact on the whole table (zero
     violations) with at least ``min_support`` finite test indices; indices
-    with an infinite entry on either side are skipped and tallied.
+    with an infinite entry on either side are skipped and tallied.  Each
+    level's classes are sliced once, when the search reaches that level.
     """
     if max_e < 0:
         raise ValueError("max_e must be >= 0")
@@ -270,23 +265,23 @@ def mine_relations(
         c_bound = 2 * int(p)
     if c_bound < 0:
         raise ValueError("c_bound must be >= 0")
+    ints = _ints(table)
     deepest = p**max_e
-    if (table.N - (deepest - 1)) // deepest + 1 < min_support:
+    if len(ints[deepest - 1::deepest]) < min_support:
         raise ValueError(
             f"table too short: level-{max_e} classes have fewer than {min_support} indices"
         )
+    classes: list[list[list[int | None]]] = []
     accepted: list[MinedRelation] = []
-    frontier: list[tuple[int, int]] = [(0, 0)]
+    frontier = [0]  # offsets i of the unexplained classes at level e
     for e in range(max_e + 1):
-        next_frontier: list[tuple[int, int]] = []
-        for ce, ci in frontier:
-            found = _best_relation(table, ce, ci, min_support, c_bound)
-            if found is not None:
-                accepted.append(found)
-            elif e < max_e:
-                base = p**ce
-                next_frontier.extend((ce + 1, ci + t * base) for t in range(p))
-        frontier = next_frontier
+        if not frontier:
+            break  # every class is explained; deeper levels are not sliced
+        pe = p**e
+        classes.append([ints[i::pe] for i in range(pe)])
+        found = [(i, _best_relation(classes, e, i, min_support, c_bound)) for i in frontier]
+        accepted.extend(rel for _i, rel in found if rel is not None)
+        frontier = [i + t * pe for i, rel in found if rel is None for t in range(p)]
     accepted.sort(key=lambda rel: (rel.candidate.e, rel.candidate.i))
     return accepted
 
@@ -334,32 +329,33 @@ def integer_matrix_rank(rows: list[list[int]]) -> tuple[int, list[int]]:
 def estimate_kernel_rank(table: ValuationTable, max_e: int, prefix_len: int) -> KernelRankEstimate:
     """Rank over the rationals of the kernel subsequences of a table.
 
+    Row (e, i) is the bounded class slice ``ints[i : i + p**e * prefix_len : p**e]``.
     Rows containing an infinite entry are excluded and reported in
-    ``dropped``; rank of integer rows over Q equals their rank over Z's
-    fraction field, so fraction-free elimination is exact here.
+    ``dropped``; rank over Q is exact by fraction-free elimination.
     """
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
     if max_e < 0:
         raise ValueError("max_e must be >= 0")
-    p, values = table.p, table.values
+    p = table.p
     deepest = p**max_e
     needed = deepest * (prefix_len - 1) + deepest - 1
     if needed > table.N:
         raise ValueError(
             f"table too short: need index {needed} for max_e={max_e}, prefix_len={prefix_len}"
         )
+    ints = _ints(table)
     rows: list[list[int]] = []
     labels: list[tuple[int, int]] = []
     dropped: list[tuple[int, int]] = []
     for e in range(max_e + 1):
         pe = p**e
         for i in range(pe):
-            picked = [values[pe * n + i] for n in range(prefix_len)]
-            if any(v.is_infinite for v in picked):
+            row = ints[i : i + pe * prefix_len : pe]
+            if None in row:
                 dropped.append((e, i))
                 continue
-            rows.append([v.value for v in picked])
+            rows.append(row)
             labels.append((e, i))
     rank, pivots = integer_matrix_rank(rows)
     basis = tuple(sorted(labels[r] for r in pivots))

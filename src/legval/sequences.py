@@ -110,7 +110,7 @@ class SequenceSpec:
 
     def canonical(self) -> str:
         """Stable text form, e.g. 'legendre(3/5)' or 'delannoy'; str of a
-        Fraction is the 'num/den' form that ``format_rational`` writes."""
+        Fraction is its exact 'num/den' form, and 'num' for an integer."""
         return self.kind.value if self.r is None else f"{self.kind.value}({self.r})"
 
     @classmethod

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 
-from .arith import Prime, digit_sum, format_rational, unlimited_int_digits, vp_int, vp_rat
+from .arith import Prime, digit_sum, unlimited_int_digits, vp_int, vp_rat
 from .miner import build_table
 from .predictors import (
     PredictionContext,
@@ -175,7 +175,7 @@ def verify_thm5(lo: int, hi: int, jobs: int = 1) -> VerificationReport:
 def verify_thm3(p: Prime, r: Fraction, lo: int, hi: int, jobs: int = 1) -> VerificationReport:
     """Both general predictors for vp(P_n(r)), vp(r) >= 1, against the oracle."""
     ctx = _context(p, r)
-    params = _range_params(lo, hi, p=str(int(p)), r=format_rational(r))
+    params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
     table = build_table(SequenceSpec.legendre(r), p, hi, jobs=jobs)
     return _report("thm3", params, hi - lo + 1, (_differ(n, {
         "cases": predict_vp_legendre_general(ctx, n),
@@ -278,7 +278,7 @@ def verify_lemma6(p: Prime, lo: int, hi: int) -> VerificationReport:
 def _verify_q_parity(theorem_id: str, parity: int, p: Prime, r: Fraction,
                      lo: int, hi: int, jobs: int) -> VerificationReport:
     ctx = _context(p, r)
-    params = _range_params(lo, hi, p=str(int(p)), r=format_rational(r))
+    params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
     table = build_table(SequenceSpec.q(r), p, hi, jobs=jobs)
     indices = range(lo + (lo + parity) % 2, hi + 1, 2)
     return _report(theorem_id, params, len(indices), (
@@ -298,23 +298,23 @@ def verify_lemma9(p: Prime, r: Fraction, lo: int, hi: int, jobs: int = 1) -> Ver
 def verify_eq_ma(lo: int, hi: int, points: tuple[Fraction, ...] | None = None) -> VerificationReport:
     """Substitution identity M_n(x) = (2-x)**n * P_n(x/(2-x)) for x != 2."""
     points = tuple(x for x in (points or DEFAULT_RATIONAL_POINTS) if x != 2)
-    params = _range_params(lo, hi, points=",".join(format_rational(x) for x in points))
+    params = _range_params(lo, hi, points=",".join(str(x) for x in points))
     cases = [(x, n) for x in points for n in range(lo, hi + 1)]
     return _report("eq-ma", params, len(cases), (_differ(
         n, cigler_eval(n, x), (2 - x) ** n * legendre_eval_rodrigues(n, x / (2 - x)),
-        detail=f"x={format_rational(x)}") for x, n in cases))
+        detail=f"x={x}") for x, n in cases))
 
 
 def verify_formula_agreement(lo: int, hi: int,
                              points: tuple[Fraction, ...] | None = None) -> VerificationReport:
     """The three Legendre evaluation formulas agree exactly on a point set."""
     points = tuple(points or DEFAULT_RATIONAL_POINTS)
-    params = _range_params(lo, hi, points=",".join(format_rational(x) for x in points))
+    params = _range_params(lo, hi, points=",".join(str(x) for x in points))
     cases = [(x, n) for x in points for n in range(lo, hi + 1)]
     return _report("formula-agreement", params, len(cases), (_differ(n, {
         "binomial": legendre_eval_binomial(n, x),
         "rodrigues": legendre_eval_rodrigues(n, x),
-    }, {"square": legendre_eval_square_form(n, x)}, detail=f"x={format_rational(x)}")
+    }, {"square": legendre_eval_square_form(n, x)}, detail=f"x={x}")
         for x, n in cases))
 
 

@@ -15,7 +15,6 @@ from legval.arith import (
     digit_sum_prefix,
     factorial_valuation_digits,
     factorial_valuation_floor,
-    format_rational,
     kummer_carries,
     parse_rational,
     vp_int,
@@ -333,8 +332,3 @@ class TestRationalText:
         for bad in ("", "x", "1/0", "3.5/2q"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
-
-    def test_format(self):
-        assert format_rational(Fraction(3, 5)) == "3/5"
-        assert format_rational(Fraction(-4, 2)) == "-2"
-        assert format_rational(7) == "7"

@@ -3,11 +3,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legval.arith import INF, PadicVal, Prime
 from legval.miner import (
+    KernelRankEstimate,
+    MinedRelation,
     RelationCandidate,
     ValuationTable,
     build_table,
@@ -81,6 +83,137 @@ def fraction_rank_oracle(rows):
 def constant_table(value, n, spec=None, p=P3):
     spec = spec or SequenceSpec.delannoy()
     return ValuationTable(spec, p, tuple(PadicVal(value) for _ in range(n + 1)))
+
+
+# Index-arithmetic oracles for the miner's scans: each entry of the class
+# p**e * n + i is read as values[p**e * n + i], and each PadicVal is asked
+# for is_infinite and value directly.
+
+
+def verify_relation_oracle(table, cand):
+    p = table.p
+    pe, pe2 = p**cand.e, p**cand.e2
+    n_max = min((table.N - cand.i) // pe, (table.N - cand.j) // pe2)
+    support = violations = skipped = 0
+    for n in range(n_max + 1):
+        lhs, rhs = table.values[pe * n + cand.i], table.values[pe2 * n + cand.j]
+        if lhs.is_infinite or rhs.is_infinite:
+            skipped += 1
+            continue
+        support += 1
+        if lhs.value != rhs.value + cand.c:
+            violations += 1
+    return MinedRelation(cand, support, violations, skipped)
+
+
+def best_relation_oracle(table, e, i, min_support, c_bound):
+    p, values = table.p, table.values
+    pe = p**e
+    for e2 in range(e + 1):
+        pe2 = p**e2
+        for j in range(pe2):
+            if e2 == e and j == i:
+                continue
+            n_max = min((table.N - i) // pe, (table.N - j) // pe2)
+            c = None
+            support = 0
+            ok = True
+            for n in range(n_max + 1):
+                lhs, rhs = values[pe * n + i], values[pe2 * n + j]
+                if lhs.is_infinite or rhs.is_infinite:
+                    continue
+                diff = lhs.value - rhs.value
+                if c is None:
+                    c = diff
+                    if abs(c) > c_bound:
+                        ok = False
+                        break
+                elif diff != c:
+                    ok = False
+                    break
+                support += 1
+            if ok and c is not None and support >= min_support:
+                return MinedRelation(RelationCandidate(e, i, e2, j, c), support, 0, n_max + 1 - support)
+    return None
+
+
+def mine_relations_oracle(table, max_e, min_support, c_bound):
+    p = table.p
+    deepest = p**max_e
+    if (table.N - (deepest - 1)) // deepest + 1 < min_support:
+        raise ValueError(
+            f"table too short: level-{max_e} classes have fewer than {min_support} indices")
+    accepted = []
+    frontier = [(0, 0)]
+    for e in range(max_e + 1):
+        next_frontier = []
+        for ce, ci in frontier:
+            found = best_relation_oracle(table, ce, ci, min_support, c_bound)
+            if found is not None:
+                accepted.append(found)
+            elif e < max_e:
+                next_frontier.extend((ce + 1, ci + t * p**ce) for t in range(p))
+        frontier = next_frontier
+    return sorted(accepted, key=lambda rel: (rel.candidate.e, rel.candidate.i))
+
+
+def estimate_kernel_rank_oracle(table, max_e, prefix_len):
+    p, values = table.p, table.values
+    deepest = p**max_e
+    needed = deepest * (prefix_len - 1) + deepest - 1
+    if needed > table.N:
+        raise ValueError(
+            f"table too short: need index {needed} for max_e={max_e}, prefix_len={prefix_len}")
+    rows, labels, dropped = [], [], []
+    for e in range(max_e + 1):
+        pe = p**e
+        for i in range(pe):
+            picked = [values[pe * n + i] for n in range(prefix_len)]
+            if any(v.is_infinite for v in picked):
+                dropped.append((e, i))
+                continue
+            rows.append([v.value for v in picked])
+            labels.append((e, i))
+    rank, pivots = integer_matrix_rank(rows)
+    return KernelRankEstimate(prefix_len, max_e, rank, tuple(sorted(labels[r] for r in pivots)),
+                              tuple(dropped))
+
+
+def outcome(f, *args, **kwargs):
+    """The result of f(*args, **kwargs), or the text of the ValueError it raises."""
+    try:
+        return f(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def miner_tables(draw):
+    """Random tables over p in {2, 3, 5}: N up to about 300, often one off a
+    multiple of p**e, and values either digit-weighted sums, which satisfy
+    V(p*n + d) = V(n) + w[d] with w[0] = 0, or a small random alphabet, with
+    inf sprinkled at random positions."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    pe = p ** draw(st.integers(0, 3))
+    N = draw(st.one_of(
+        st.integers(0, 300),
+        st.integers(1, 300 // pe).flatmap(lambda k: st.sampled_from([pe * k - 1, pe * k, pe * k + 1]))))
+    if draw(st.booleans()):
+        weights = [0] + draw(st.lists(st.integers(-3, 3), min_size=p - 1, max_size=p - 1))
+
+        def weighted(n):
+            total = 0
+            while n:
+                n, d = divmod(n, p)
+                total += weights[d]
+            return total
+
+        values = [weighted(n) for n in range(N + 1)]
+    else:
+        values = draw(st.lists(st.integers(-2, 2), min_size=N + 1, max_size=N + 1))
+    infinite = draw(st.sets(st.integers(0, N), max_size=6))
+    entries = tuple(INF if n in infinite else PadicVal(v) for n, v in enumerate(values))
+    return ValuationTable(SequenceSpec.delannoy(), Prime(p), entries)
 
 
 class TestBuildTable:
@@ -177,6 +310,11 @@ class TestPersistence:
         path.write_text("no header\n")
         with pytest.raises(ValueError):
             ValuationTable.load(path)
+        # a field that is not an int names the file and line like every other error
+        for line in ("x 1", "1 abc", "1 1.5"):
+            path.write_text(f"# spec=delannoy p=3 N=1\n0 0\n{line}\n")
+            with pytest.raises(ValueError, match=rf"bad\.table:3: expected '1 <value>', got '{line}'"):
+                ValuationTable.load(path)
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         import pathlib
@@ -364,3 +502,34 @@ class TestRank:
         table = constant_table(1, 10)
         with pytest.raises(ValueError):
             estimate_kernel_rank(table, 2, 10)
+
+
+class TestMinerMatchesIndexOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(table=miner_tables(), max_e=st.integers(0, 3), min_support=st.integers(1, 10),
+           c_bound=st.integers(0, 4), rank_e=st.integers(0, 3), prefix_len=st.integers(1, 12),
+           data=st.data())
+    def test_matches_oracle(self, table, max_e, min_support, c_bound, rank_e, prefix_len, data):
+        mined = outcome(mine_relations, table, max_e, min_support, c_bound=c_bound)
+        assert mined == outcome(mine_relations_oracle, table, max_e, min_support, c_bound)
+        p = int(table.p)
+        levels = st.integers(0, 3)
+        offsets = levels.flatmap(lambda e: st.tuples(st.just(e), st.integers(0, p**e - 1)))
+        candidates = [
+            RelationCandidate(e, i, e2, j, c)
+            for (e, i), (e2, j), c in data.draw(st.lists(
+                st.tuples(offsets, offsets, st.integers(-4, 4)), max_size=4))]
+        if isinstance(mined, list):
+            candidates += [rel.candidate for rel in mined]
+        for cand in candidates:
+            assert verify_relation(table, cand) == verify_relation_oracle(table, cand)
+        assert (outcome(estimate_kernel_rank, table, rank_e, prefix_len)
+                == outcome(estimate_kernel_rank_oracle, table, rank_e, prefix_len))
+
+    def test_deep_search_on_short_table_raises_at_once(self):
+        # the length check reads one slice; the 3**40 classes are never sliced
+        table = constant_table(0, 99)
+        with pytest.raises(ValueError, match="table too short: level-40 classes have fewer than 50"):
+            mine_relations(table, 40)
+        assert outcome(mine_relations_oracle, table, 40, 50, 6) == (
+            "ValueError: table too short: level-40 classes have fewer than 50 indices")
