@@ -29,8 +29,10 @@ from .miner import (
     DEFAULT_MIN_SUPPORT,
     ValuationTable,
     build_table,
+    default_c_bound,
     estimate_kernel_rank,
     format_relation,
+    kernel_rank_last_index,
     mine_relations,
 )
 from .oeis import BFileError, oeis_check
@@ -230,7 +232,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if args.max_e < 0:
         raise UsageError("--max-e must be >= 0")
     N = args.N if args.N is not None else int(p) ** args.max_e * args.min_support * 4
-    c_bound = args.c_bound if args.c_bound is not None else 2 * int(p)
+    c_bound = args.c_bound if args.c_bound is not None else default_c_bound(p)
     try:
         table = _cached_table(args, spec, p, N)
         mined = mine_relations(table, args.max_e, args.min_support, c_bound=c_bound)
@@ -266,8 +268,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     p = _prime(args.p)
     if args.prefix_len < 1 or args.max_e < 0:
         raise UsageError("--prefix-len must be >= 1 and --max-e >= 0")
-    deepest = int(p) ** args.max_e
-    needed = deepest * (args.prefix_len - 1) + deepest - 1
+    needed = kernel_rank_last_index(p, args.max_e, args.prefix_len)
     N = args.N if args.N is not None else needed
     if N < needed:
         raise UsageError(f"--N too small: rank needs indices up to {needed}")

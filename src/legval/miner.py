@@ -38,6 +38,8 @@ __all__ = [
     "verify_relation",
     "estimate_kernel_rank",
     "format_relation",
+    "default_c_bound",
+    "kernel_rank_last_index",
     "DEFAULT_MIN_SUPPORT",
 ]
 
@@ -240,6 +242,11 @@ def _best_relation(
     return None
 
 
+def default_c_bound(p: Prime) -> int:
+    """The bound on |c| that ``mine_relations`` uses when none is given."""
+    return 2 * int(p)
+
+
 def mine_relations(
     table: ValuationTable,
     max_e: int,
@@ -262,7 +269,7 @@ def mine_relations(
         raise ValueError("min_support must be >= 1")
     p = table.p
     if c_bound is None:
-        c_bound = 2 * int(p)
+        c_bound = default_c_bound(p)
     if c_bound < 0:
         raise ValueError("c_bound must be >= 0")
     ints = _ints(table)
@@ -326,6 +333,12 @@ def integer_matrix_rank(rows: list[list[int]]) -> tuple[int, list[int]]:
     return rank, pivots
 
 
+def kernel_rank_last_index(p: Prime, max_e: int, prefix_len: int) -> int:
+    """The largest table index that ``estimate_kernel_rank`` reads: the end
+    of row (max_e, p**max_e - 1)."""
+    return p**max_e * prefix_len - 1
+
+
 def estimate_kernel_rank(table: ValuationTable, max_e: int, prefix_len: int) -> KernelRankEstimate:
     """Rank over the rationals of the kernel subsequences of a table.
 
@@ -338,8 +351,7 @@ def estimate_kernel_rank(table: ValuationTable, max_e: int, prefix_len: int) -> 
     if max_e < 0:
         raise ValueError("max_e must be >= 0")
     p = table.p
-    deepest = p**max_e
-    needed = deepest * (prefix_len - 1) + deepest - 1
+    needed = kernel_rank_last_index(p, max_e, prefix_len)
     if needed > table.N:
         raise ValueError(
             f"table too short: need index {needed} for max_e={max_e}, prefix_len={prefix_len}"

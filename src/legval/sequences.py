@@ -16,14 +16,20 @@ running products, giving O(n) large-integer multiplications per evaluation.
 For batch work (valuation tables, verification sweeps) every kind is one
 record in ``_KINDS``: the summation above that gives a scaled integer U_n,
 the base B with value_n = U_n / B**n, and a recurrence of order k for U_n
-(3 for the cube-weighted sum, else 2).  One stepper walks any index range in
-O(1) big-integer operations per step.  It reaches the start of a range by
-jumping from U_0, ..., U_{k-1} with a binary-split product of the
-recurrence's companion matrices, so a chunk starting at n costs about as much
-as a few multiplications of numbers of U_n's size, not an O(n**2) summation.
-``eval_sequence`` reads a record's summation and base; the ``iter_sequence_*``
-generators are views over the stepper.  The direct formulas stay the
-independent oracle the test suite checks the stepper against.
+(3 for the cube-weighted sum, else 2).  Two steppers walk an index range
+with O(1) arithmetic operations per step.  ``_iter_scaled`` carries the
+exact integers U_n, which grow by Θ(1) digits a step; ``iter_sequence_values``
+reads it, and it is the fallback and the test oracle of the other.
+``iter_valuations_with_bits``, behind every valuation stream, carries U_n
+only modulo p**P and up to a p-adic unit, with P just above what the
+valuations left in the range need, so its steps work on smaller numbers and
+its answers stay exact (precision tracked as in X. Caruso, *Computations
+with p-adic numbers*, 2017).  Both reach the start of a range by jumping
+from U_0, ..., U_{k-1} with a product of the recurrence's companion
+matrices, exact or modulo a power of p, so a chunk starting at n costs a
+few multiplications of numbers of U_n's size, not an O(n**2) summation.
+``eval_sequence`` reads a record's summation and base.  The direct formulas
+stay the independent oracle the test suite checks the steppers against.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator
 
-from .arith import INF, PadicVal, Prime, vp_int
+from .arith import PadicVal, Prime, vp_int
 
 __all__ = [
     "SequenceKind",
@@ -301,9 +307,42 @@ def cube_sum_2k(n: int) -> int:
 # Schost 2007) and dividing once, exactly, at the end.  The integers are the
 # ones a sweep from 0 reaches, so a range split into chunks yields the same
 # values as one sweep.
+#
+# A valuation needs U_n only modulo a power of p above vp(U_n); this is
+# fixed-precision p-adic arithmetic with its precision tracked by hand
+# (Caruso, "Computations with p-adic numbers", 2017).  The state of
+# ``iter_valuations_with_bits`` is W_i = λ_i * U_{n-i} modulo p**P for p-adic
+# units λ_i, plus small ints f_i with f_i * λ_i = λ_1 (f_1 = 1).  With
+# D(n) = p**t * u and p not dividing u,
+#     X = A_1(n)*f_1*W_1 + ... + A_k(n)*f_k*W_k = λ_1 * D(n) * U_n  (mod p**P)
+# is an exact multiple of p**t, and y = X / p**t = λ_1 * u * U_n modulo
+# p**(P-t).  y is the next W_1, with unit λ_1 * u, so each f_i takes the
+# factor u; no inverse and no big multiply beyond the products in X.  Then
+# vp(U_n) = vp(y) when vp(y) < P - t.  Otherwise (y = 0, as when U_n = 0)
+# the valuation is undetermined and the rest of the range runs on the exact
+# ``_iter_scaled``, so every answer is exact, never probable.
+#
+# Precision: a range [s, e) starts at P = _MARGIN + vp(D(s+k)...D(e-1)),
+# summed in one streaming pass, and loses t a step.  It also gains g a step
+# when every non-zero A_i(n) of the range has vp >= i*g: if W_i is known
+# modulo p**(P-(i-1)*g), every term of X is known modulo p**(P+g), and the
+# shifted slots keep that form.  U_n of legendre(3) at p = 2 is 2**n times
+# an odd number, and its valuations need the gain.  Such a range starts
+# g*(s+k) digits higher, since its seeds carry about p**(g*s).  Every
+# _REDUCE_EVERY steps the state is reduced modulo p**P, after P is lowered
+# to what is left of the budget plus vp(y), where the gain left more.
+#
+# Jump: a start s > 0 takes M(s+k-1)...M(k) modulo p**(P+K), where
+# K = vp(D(k)...D(s+k-1)), times the seeds, and divides the result exactly
+# by p**K, which leaves λ * (U_{s+k-1}, ..., U_s) modulo p**P.  The exact
+# and the modular jump share ``_companion_product``.
 # ---------------------------------------------------------------------------
 
 _Step = Callable[[int], tuple[int, tuple[int, ...]]]  # n -> (D(n), (A_1(n), ..., A_k(n)))
+
+_LEAF = 8  # companion matrices multiplied in sequence at each leaf of the jump
+_MARGIN = 32  # p-adic digits kept beyond a chunk's precision budget; any value is exact
+_REDUCE_EVERY = 8  # steps between reductions of the state modulo p**precision
 
 
 @dataclass(frozen=True)
@@ -366,18 +405,58 @@ def eval_sequence(spec: SequenceSpec, n: int) -> Fraction:
     return Fraction(kind.direct(n, spec.r), kind.base(spec.r) ** n)
 
 
-def _companion_product(step: _Step, lo: int, hi: int) -> tuple[list[list[int]], int]:
-    """M(hi-1)...M(lo) as a list of rows, and D(lo)...D(hi-1), for lo < hi,
-    by binary splitting."""
-    if hi - lo == 1:
+def _companion_product(step: _Step, lo: int, hi: int, mod: int = 0) -> tuple[list[list[int]], int]:
+    """M(hi-1)...M(lo) as a list of rows, and D(lo)...D(hi-1), for lo < hi.
+
+    Runs of at most ``_LEAF`` matrices are multiplied in sequence, and the
+    runs are joined by binary splitting.  With ``mod``, entries of the joined
+    products that reach ``mod`` are reduced modulo it, and 0 stands in for
+    the D product, which a modular jump does not read."""
+    if hi - lo <= _LEAF:
         d, a = step(lo)
-        return [list(a)] + [[d if j == i - 1 else 0 for j in range(len(a))]
-                            for i in range(1, len(a))], d
+        rows = [list(a)] + [[d if j == i - 1 else 0 for j in range(len(a))]
+                            for i in range(1, len(a))]
+        for n in range(lo + 1, hi):
+            dn, a = step(n)
+            top = [sum(map(mul, a, col)) for col in zip(*rows)]
+            rows = [top] + [[dn * x for x in row] for row in rows[:-1]]
+            d *= dn
+        return rows, d
     mid = (lo + hi) // 2
-    p, pd = _companion_product(step, mid, hi)
-    q, qd = _companion_product(step, lo, mid)
+    p, pd = _companion_product(step, mid, hi, mod)
+    q, qd = _companion_product(step, lo, mid, mod)
     columns = list(zip(*q))
-    return [[sum(map(mul, row, col)) for col in columns] for row in p], pd * qd
+    rows = [[sum(map(mul, row, col)) for col in columns] for row in p]
+    if mod:
+        return [[x if -mod < x < mod else x % mod for x in row] for row in rows], 0
+    return rows, pd * qd
+
+
+def _split(p: int, d: int) -> tuple[int, int]:
+    """(t, u) with d = p**t * u and p not dividing u, for d != 0."""
+    t = 0
+    while not d % p:
+        d //= p
+        t += 1
+    return t, d
+
+
+def _vp_steps(step: _Step, p: int, lo: int, hi: int) -> tuple[int, int]:
+    """vp(D(lo)...D(hi-1)), and the largest g with vp(A_i(n)) >= i*g for
+    every n in [lo, hi) and every non-zero A_i(n) (0 if there is none), in
+    one streaming pass."""
+    total, rate = 0, None  # None until a non-zero A_i(n) is seen
+    for n in range(lo, hi):
+        d, a = step(n)
+        while not d % p:
+            d //= p
+            total += 1
+        if rate != 0:
+            for i, c in enumerate(a, 1):
+                if c and (rate is None or c % p ** (i * rate)):
+                    g = _split(p, c)[0] // i
+                    rate = g if rate is None else min(rate, g)
+    return total, rate or 0
 
 
 def _iter_scaled(spec: SequenceSpec, start: int, stop: int) -> Iterator[int]:
@@ -422,11 +501,67 @@ def iter_sequence_valuations(
 def iter_valuations_with_bits(
     spec: SequenceSpec, p: Prime, stop: int, start: int = 0
 ) -> Iterator[tuple[PadicVal, int]]:
-    """Like ``iter_sequence_valuations`` but also reports each underlying
-    integer's bit length, so callers can measure the arithmetic it took."""
-    shift = vp_int(p, _KINDS[spec.kind].base(spec.r)).value
+    """Like ``iter_sequence_valuations`` but also reports, for each index,
+    the bit length of the integer the stepper carried: a residue modulo a
+    power of p, or U_n itself after a fallback; 0 for an infinite valuation.
+
+    Steps the recurrence modulo p**P (see the comment block above
+    ``_Kind``).  An index whose residue leaves its valuation undetermined
+    hands the rest of the range to the exact stepper ``_iter_scaled``."""
+    if start < 0 or stop < start:
+        raise ValueError(f"bad index range [{start}, {stop})")
+    kind = _KINDS[spec.kind]
+    shift = vp_int(p, kind.base(spec.r)).value
+    step = kind.step(spec.r)
+    k = len(step(0)[1])
+    budget, gain = _vp_steps(step, p, start + k, stop)
+    budget += _MARGIN
+    precision = budget + gain * (start + k)  # jumped seeds may carry p**(gain*start)
+    window = [kind.direct(n, spec.r) for n in reversed(range(k))]  # U_{k-1}, ..., U_0
+    if start:
+        K = _vp_steps(step, p, k, start + k)[0]
+        rows, _ = _companion_product(step, k, start + k, p ** (precision + K))
+        window, rems = zip(*(divmod(sum(map(mul, row, window)), p**K) for row in rows))
+        assert not any(rems), f"{spec.canonical()} jump to {start} lost exactness"
+    for n, w in enumerate(window[::-1][: stop - start], start):
+        v = vp_int(p, w)
+        if start and not v < precision:  # seeds from 0 are exact, jumped ones are residues
+            yield from _exact_valuations(spec, p, shift, n, stop)
+            return
+        yield v - n * shift, w.bit_length()
+    window = list(window)  # newest first: window[i] = λ_i * U_{n-1-i} for the next n
+    owed = [1] * k  # small units with owed[i] * λ_i = λ_0
+    mod, reduced = p**precision, precision  # mod = p**reduced, kept without a fresh power
+    for n in range(start + k, stop):
+        d, a = step(n)
+        t, u = _split(p, d)
+        terms = map(mul, map(mul, a, owed), window)
+        y = sum(terms, next(terms))
+        if t:
+            y, rem = divmod(y, p**t)
+            assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
+        precision += gain - t
+        budget -= t
+        v = vp_int(p, y)
+        if not v < precision:  # y = 0 or y = 0 modulo p**precision
+            yield from _exact_valuations(spec, p, shift, n, stop)
+            return
+        yield v - n * shift, y.bit_length()
+        window = [y] + window[:-1]
+        owed = [1] + [u * f for f in owed[:-1]]
+        if not (n - start) % _REDUCE_EVERY:
+            precision = min(precision, budget + v.value)
+            if precision < reduced:
+                mod //= p ** (reduced - precision)
+            else:
+                mod *= p ** (precision - reduced)
+            reduced = precision
+            window = [w % mod for w in window]
+
+
+def _exact_valuations(
+    spec: SequenceSpec, p: Prime, shift: int, start: int, stop: int
+) -> Iterator[tuple[PadicVal, int]]:
+    """``iter_valuations_with_bits`` from the exact integers U_n."""
     for n, u in enumerate(_iter_scaled(spec, start, stop), start):
-        if u == 0:
-            yield INF, 0
-        else:
-            yield PadicVal(vp_int(p, u).value - n * shift), u.bit_length()
+        yield vp_int(p, u) - n * shift, u.bit_length()

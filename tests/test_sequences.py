@@ -339,8 +339,11 @@ class TestJumpAhead:
         values = [eval_sequence(spec, n) for n in range(start, stop)]
         assert list(iter_sequence_values(spec, stop, start)) == values
         for p in (Prime(2), Prime(3)):
-            want = [(vp_rat(p, v), u.bit_length()) for v, u in zip(values, scaled)]
-            assert list(iter_valuations_with_bits(spec, p, stop, start)) == want
+            got = list(iter_valuations_with_bits(spec, p, stop, start))
+            assert [val for val, _bits in got] == [vp_rat(p, v) for v in values]
+            # bits: the length of the integer the stepper carried (a residue
+            # modulo a power of p), > 0 for a finite valuation and 0 for inf
+            assert all((bits > 0) != val.is_infinite for val, bits in got)
 
     @pytest.mark.parametrize("spec", JUMP_SPECS, ids=SequenceSpec.canonical)
     def test_short_ranges(self, spec):
@@ -349,3 +352,114 @@ class TestJumpAhead:
         sweep = list(_iter_scaled(spec, 0, 247))
         for length in range(4):  # up to one past the seeds of an order-3 recurrence
             assert list(_iter_scaled(spec, 243, 243 + length)) == sweep[243:243 + length]
+
+
+MODULAR_SPECS = [
+    SequenceSpec.legendre(3),  # at p = 2, vp(U_n) = n: the precision gains one digit a step
+    SequenceSpec.legendre(2),  # at p = 2, vp(A_1(n)) = 2 and vp(A_2(n)) >= 2: the gain is 1, not 2
+    SequenceSpec.q(Fraction(-7, 2)),
+    SequenceSpec.cigler(Fraction(5, 3)),
+    SequenceSpec.delannoy(),
+    SequenceSpec.dsum(),
+    SequenceSpec.cube2k(),
+]
+# U_n = 0 at every odd n of these, so their residues leave the valuation
+# undetermined and the stepper falls back to the exact integers
+ZERO_SPECS = [SequenceSpec.legendre(0), SequenceSpec.q(0)]
+PRIMES = [Prime(2), Prime(3), Prime(5), Prime(7)]
+
+
+def exact_valuations(spec, p, stop, start=0):
+    """The oracle: vp of the exact values that ``_iter_scaled`` steps to."""
+    from legval.arith import vp_rat
+
+    return [vp_rat(p, v) for v in iter_sequence_values(spec, stop, start)]
+
+
+def chunk_starts(p):
+    """0, 1, 2 and p**j - 1, p**j, p**j + 1 for the p**j up to 300."""
+    starts = {0, 1, 2}
+    pj = p
+    while pj <= 300:
+        starts |= {pj - 1, pj, pj + 1}
+        pj *= p
+    return sorted(starts)
+
+
+class TestModularStepper:
+    """``iter_valuations_with_bits`` steps modulo p**P and jumps to a chunk
+    start modulo p**(P+K); every valuation must equal the exact stepper's."""
+
+    @pytest.mark.parametrize("p", PRIMES, ids=int)
+    @pytest.mark.parametrize("spec", MODULAR_SPECS + ZERO_SPECS, ids=SequenceSpec.canonical)
+    def test_tables_match_exact(self, spec, p, monkeypatch):
+        from legval import miner
+
+        monkeypatch.setattr(miner, "_usable_cpus", lambda: 2)  # jobs=2 really splits
+        N = 300
+        want = exact_valuations(spec, p, N + 1)
+        for jobs in (1, 2):
+            assert list(miner.build_table(spec, p, N, jobs=jobs).values) == want
+
+    @pytest.mark.parametrize("p", PRIMES, ids=int)
+    @pytest.mark.parametrize("spec", MODULAR_SPECS + ZERO_SPECS, ids=SequenceSpec.canonical)
+    def test_chunk_starts_match_exact(self, spec, p):
+        from legval.sequences import iter_valuations_with_bits
+
+        starts = chunk_starts(p)
+        want = exact_valuations(spec, p, starts[-1] + 40)
+        for start in starts:
+            for stop in (start, start + 1, start + 2, start + 40):
+                got = [v for v, _bits in iter_valuations_with_bits(spec, p, stop, start)]
+                assert got == want[start:stop], (start, stop)
+
+    @pytest.mark.parametrize("spec", MODULAR_SPECS + ZERO_SPECS, ids=SequenceSpec.canonical)
+    def test_no_margin_falls_back_exactly(self, spec, monkeypatch):
+        # With no digits beyond the budget, the last indices of every range
+        # are undetermined, so the fallback runs over and over.
+        from legval import sequences
+
+        fallbacks = []
+        exact = sequences._exact_valuations
+
+        def counted(spec, p, shift, start, stop):
+            fallbacks.append(start)
+            return exact(spec, p, shift, start, stop)
+
+        monkeypatch.setattr(sequences, "_MARGIN", 0)
+        monkeypatch.setattr(sequences, "_exact_valuations", counted)
+        for p in PRIMES:
+            starts = chunk_starts(p)
+            want = exact_valuations(spec, p, starts[-1] + 300)
+            for start in starts:
+                for stop in (start + 40, start + 300):
+                    got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, p, stop, start)]
+                    assert got == want[start:stop], (int(p), start, stop)
+        assert len(fallbacks) > 20
+
+    def test_vp_steps(self):
+        from legval.sequences import _vp_steps
+
+        two = Prime(2)
+        # vp(D) over n = 2..5 is 2 + 1 + 3 + 1; vp(A_1) = 2 allows g = 2,
+        # vp(A_2) = 2 only g = 1
+        assert _vp_steps(lambda n: (2 * n, (4, 4)), two, 2, 6) == (7, 1)
+        assert _vp_steps(lambda n: (1, (0, 16)), two, 2, 6) == (0, 2)  # A_1 = 0 bounds nothing
+        assert _vp_steps(lambda n: (1, (0, 0)), two, 2, 6) == (0, 0)
+        assert _vp_steps(lambda n: (1, (3, 16)), two, 2, 2) == (0, 0)  # no steps
+
+    def test_gain_is_not_overstated(self, monkeypatch):
+        # U_n = 4*U_{n-1} + 4*U_{n-2} from 1, 2 has vp_2(U_n) = n: precision
+        # grows one digit a step, as the valuations do, and not two.
+        from legval import sequences
+
+        kinds = dict(sequences._KINDS)
+        kinds[SequenceKind.DELANNOY] = sequences._Kind(
+            direct=lambda n, r: (1, 2)[n], base=lambda r: 1, step=lambda r: lambda n: (1, (4, 4)))
+        monkeypatch.setattr(sequences, "_KINDS", kinds)
+        monkeypatch.setattr(sequences, "_MARGIN", 0)
+        spec, two = SequenceSpec.delannoy(), Prime(2)
+        assert exact_valuations(spec, two, 60) == list(range(60))
+        for start in (0, 1, 2, 7, 8, 9, 31, 32, 33):
+            got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, two, 60, start)]
+            assert got == list(range(start, 60)), start
