@@ -9,9 +9,12 @@ binomial coefficients, and the cube-weighted power sum.
 
 Everything is exact.  Each evaluator accumulates one big integer numerator
 over a common denominator and builds a single ``Fraction`` at the end, so no
-intermediate rational reductions happen.  Binomial coefficients are updated
-incrementally along k (ratio updates, exact integer divisions); powers are
-running products, giving O(n) large-integer multiplications per evaluation.
+intermediate rational reductions happen.  Every one of these sums is
+hypergeometric: term k is term k-1 times a ratio of small integers
+(Petkovsek, Wilf & Zeilberger, *A=B*, 1996).  So each evaluator carries one
+running term, multiplies it by a small int, divides it exactly by another
+and adds it to the total: an evaluation takes O(n) big-by-small operations,
+and its loop has no product of two big integers.
 
 For batch work (valuation tables, verification sweeps) every kind is one
 record in ``_KINDS``: the summation above that gives a scaled integer U_n,
@@ -146,48 +149,31 @@ def _require_nonneg(n: int) -> None:
 def legendre_eval_binomial(n: int, x: Fraction | int) -> Fraction:
     """P_n(x) as sum of C(n,k) * C(n+k,k) * ((x-1)/2)**k."""
     _require_nonneg(n)
-    x = Fraction(x)
-    d = x - 1
-    u, w = d.numerator, d.denominator  # (x-1)/2 = u / (2w)
-    coeffs = [1] * (n + 1)
-    c = 1
+    d = Fraction(x) - 1
+    u, v = d.numerator, 2 * d.denominator  # (x-1)/2 = u / v
+    t = total = den = v**n  # C(n,k) * C(n+k,k) * u**k * v**(n-k), from k = 0
     for k in range(1, n + 1):
-        c = c * (n - k + 1) * (n + k) // (k * k)
-        coeffs[k] = c
-    # Horner in u over the common denominator (2w)**n.
-    v = 2 * w
-    total = 0
-    pw = 1  # v**(n-k)
-    for k in range(n, -1, -1):
-        total = total * u + coeffs[k] * pw
-        pw *= v
-    return Fraction(total, v**n)
+        t = t * ((n - k + 1) * (n + k) * u) // (k * k * v)
+        total += t
+    return Fraction(total, den)
 
 
 def _rodrigues_parts(n: int, x: Fraction) -> tuple[int, int]:
     """Integer numerator and denominator b**n of the alternating sum
-    giving Q_n(x) = 2**n * P_n(x), with x = a/b."""
+    giving Q_n(x) = 2**n * P_n(x), with x = a/b.
+
+    The terms (-1)**k * C(n,k) * C(2n-2k,n) * a**(n-2k) * b**(2k) are
+    summed downward from k = n // 2: going up, the ratio would divide by
+    a**2, and a may be 0."""
     a, b = x.numerator, x.denominator
-    half = n // 2
-    coeffs = [0] * (half + 1)
-    c = math.comb(2 * n, n)
-    coeffs[0] = c
-    for k in range(1, half + 1):
-        c = (
-            c
-            * ((n - k + 1) * (n - 2 * k + 1) * (n - 2 * k + 2))
-            // (k * (2 * n - 2 * k + 1) * (2 * n - 2 * k + 2))
-        )
-        coeffs[k] = c
-    # Sum over k of (-1)**k * c_k * a**(n-2k) * b**(2k), Horner in b**2.
-    bb = b * b
-    total = 0
-    pa = a ** (n % 2)  # a**(n-2k), lowest exponent first
-    aa = a * a
-    for k in range(half, -1, -1):
-        term = coeffs[k] * pa
-        total = total * bb + (-term if k % 2 else term)
-        pa *= aa
+    h = n // 2
+    t = total = ((-1) ** h * math.comb(n, h) * math.comb(2 * n - 2 * h, n)
+                 * a ** (n - 2 * h) * b ** (2 * h))  # the term k = h
+    aa, bb = a * a, b * b
+    for k in range(h, 0, -1):
+        t = (-t * (aa * k * (2 * n - 2 * k + 1) * (2 * n - 2 * k + 2))
+             // (bb * (n - k + 1) * (n - 2 * k + 1) * (n - 2 * k + 2)))
+        total += t
     return total, b**n
 
 
@@ -199,22 +185,22 @@ def legendre_eval_rodrigues(n: int, x: Fraction | int) -> Fraction:
 
 
 def legendre_eval_square_form(n: int, x: Fraction | int) -> Fraction:
-    """P_n(x) as (1/2**n) * sum of C(n,k)**2 * (x-1)**k * (x+1)**(n-k)."""
+    """P_n(x) as (1/2**n) * sum of C(n,k)**2 * (x-1)**k * (x+1)**(n-k).
+
+    With x = a/b, the terms C(n,k)**2 * (a-b)**k * (a+b)**(n-k) are summed
+    upward from k = 0: going down, the ratio would divide by a-b, which is 0
+    at x = 1.  Going up it divides by a+b, which is 0 only at x = -1, where
+    the term k = n is the only non-zero one."""
     _require_nonneg(n)
     x = Fraction(x)
     a, b = x.numerator, x.denominator
-    u = a - b
-    w = a + b
-    coeffs = [1] * (n + 1)
-    c = 1
+    u, w = a - b, a + b
+    if not w:
+        return Fraction(u**n, (2 * b) ** n)
+    t = total = w**n  # C(n,k)**2 * u**k * w**(n-k), from k = 0
     for k in range(1, n + 1):
-        c = c * (n - k + 1) ** 2 // (k * k)
-        coeffs[k] = c
-    total = 0
-    pw = 1  # w**(n-k)
-    for k in range(n, -1, -1):
-        total = total * u + coeffs[k] * pw
-        pw *= w
+        t = t * ((n - k + 1) ** 2 * u) // (k * k * w)
+        total += t
     return Fraction(total, (2 * b) ** n)
 
 
@@ -222,17 +208,11 @@ def _cigler_parts(n: int, x: Fraction) -> tuple[int, int]:
     """Integer numerator and denominator b**n of M_n(x), with x = a/b."""
     a, b = x.numerator, x.denominator
     u = a - b
-    total = 0
-    c = 1  # C(n,k)**2
-    pu = 1  # u**k
-    pb = b**n  # b**(n-k)
-    for k in range(0, n + 1):
-        if k:
-            c = c * (n - k + 1) ** 2 // (k * k)
-            pu *= u
-            pb //= b
-        total += c * pu * pb
-    return total, b**n
+    t = total = den = b**n  # C(n,k)**2 * u**k * b**(n-k), from k = 0
+    for k in range(1, n + 1):
+        t = t * ((n - k + 1) ** 2 * u) // (k * k * b)
+        total += t
+    return total, den
 
 
 def cigler_eval(n: int, x: Fraction | int) -> Fraction:

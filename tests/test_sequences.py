@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legval.arith import INF, Prime
@@ -60,6 +60,30 @@ def delannoy_lattice(n):
 
 def cigler_comb(n, x):
     return sum(math.comb(n, k) ** 2 * (x - 1) ** k for k in range(n + 1))
+
+
+# Plain term sums of the three Legendre formulas in Fraction arithmetic, with
+# every binomial from math.comb: oracles for the running-term evaluators.
+def binomial_comb(n, x):
+    return sum(math.comb(n, k) * math.comb(n + k, k) * ((x - 1) / 2) ** k for k in range(n + 1))
+
+
+def rodrigues_comb(n, x):
+    return sum((-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n) * x ** (n - 2 * k)
+               for k in range(n // 2 + 1)) / 2**n
+
+
+def square_comb(n, x):
+    return sum(math.comb(n, k) ** 2 * (x - 1) ** k * (x + 1) ** (n - k)
+               for k in range(n + 1)) / 2**n
+
+
+TERM_SUMS = [
+    pytest.param(legendre_eval_binomial, binomial_comb, id="binomial"),
+    pytest.param(legendre_eval_rodrigues, rodrigues_comb, id="rodrigues"),
+    pytest.param(legendre_eval_square_form, square_comb, id="square"),
+    pytest.param(cigler_eval, cigler_comb, id="cigler"),
+]
 
 
 class TestSpec:
@@ -144,6 +168,24 @@ class TestLegendreEvals:
                 lhs = legendre_eval_rodrigues(n, -x)
                 rhs = (-1) ** n * legendre_eval_rodrigues(n, x)
                 assert lhs == rhs
+
+
+class TestTermSumOracles:
+    # x = 1 makes x-1 = 0, x = -1 makes x+1 = 0 and x = 0 makes a = 0: the
+    # points where a running term drops to zero or its ratio divides by zero
+    @pytest.mark.parametrize("f, oracle", TERM_SUMS)
+    @pytest.mark.parametrize("x", [Fraction(1), Fraction(-1), Fraction(0), Fraction(-3),
+                                   Fraction(-5, 7), Fraction(7, 3), Fraction(-9, 4)], ids=str)
+    def test_against_term_sum(self, f, oracle, x):
+        for n in [*range(61), 97, 200, 333]:
+            assert f(n, x) == oracle(n, x), n
+
+    @pytest.mark.parametrize("f, oracle", TERM_SUMS)
+    @settings(deadline=None)
+    @given(a=st.integers(-50, 50), b=st.integers(1, 50), n=st.integers(0, 80))
+    def test_against_term_sum_anywhere(self, f, oracle, a, b, n):
+        x = Fraction(a, b)
+        assert f(n, x) == oracle(n, x)
 
 
 class TestCigler:
