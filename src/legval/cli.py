@@ -21,6 +21,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import cache, partial
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -169,10 +170,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     try:
         fn = make(**options)
         lo, hi = _parse_range(args.n)
-        pairs = [(n, fn(n)) for n in range(lo, hi + 1)]
+        first = fn(lo)  # a bad option or index fails here, before any output
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _stream_rows(args, "predicted", pairs)
+    rest = ((n, fn(n)) for n in range(lo + 1, hi + 1))
+    _stream_rows(args, "predicted", chain([(lo, first)], rest))
     return 0
 
 
@@ -204,12 +206,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n)
     p = _prime(args.p) if args.p is not None else None
     return _emit_report(args, run_verification(
-        args.theorem, lo, hi, p=p, r=args.r, jobs=args.jobs, against=args.against))
+        args.theorem, lo, hi, p=p, r=args.r, against=args.against))
 
 
 def _cached_table(args: argparse.Namespace, spec: SequenceSpec, p: Prime, N: int) -> ValuationTable:
     if not args.cache:
-        return build_table(spec, p, N, jobs=args.jobs)
+        return build_table(spec, p, N)
     cache_dir = Path(args.cache)
     cache_dir.mkdir(parents=True, exist_ok=True)
     safe = spec.canonical().replace("/", "_")
@@ -221,7 +223,7 @@ def _cached_table(args: argparse.Namespace, spec: SequenceSpec, p: Prime, N: int
             cached = None
         if cached is not None and cached.spec == spec and cached.p == p and cached.N >= N:
             return cached.truncated(N)
-    table = build_table(spec, p, N, jobs=args.jobs)
+    table = build_table(spec, p, N)
     table.save(path)
     return table
 
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical output")
     parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker processes for table sweeps, at most the usable CPUs")
+                        help="accepted and checked to be >= 1 for compatibility; has no effect")
     parser.add_argument("--cache", metavar="DIR",
                         help="directory for persisted valuation tables (mine/rank)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -18,7 +18,6 @@ table is a conjecture about the infinite sequence, not a theorem.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import re
 from dataclasses import dataclass, field
@@ -33,7 +32,6 @@ __all__ = [
     "MinedRelation",
     "KernelRankEstimate",
     "build_table",
-    "worker_count",
     "mine_relations",
     "verify_relation",
     "estimate_kernel_rank",
@@ -108,41 +106,16 @@ class ValuationTable:
         return ValuationTable(self.spec, self.p, self.values[: N + 1])
 
 
-def _chunk_worker(spec: SequenceSpec, p: Prime, start: int, stop: int) -> tuple[PadicVal, ...]:
-    return tuple(v for v, _bits in iter_valuations_with_bits(spec, p, stop, start))
-
-
-def worker_count(jobs: int, cpus: int, chunks: int) -> int:
-    """Worker processes for a sweep: at most ``jobs``, the usable ``cpus``
-    and the number of non-empty ``chunks``, and at least one."""
-    return max(1, min(jobs, cpus, chunks))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def build_table(spec: SequenceSpec, p: Prime, N: int, *, jobs: int = 1) -> ValuationTable:
-    """Table of vp(value at n) for n = 0..N.
+    """Table of vp(value at n) for n = 0..N, from one valuation stream in
+    this process.
 
-    The index range is split into contiguous chunks, one per worker (see
-    ``worker_count``; one below 257 entries).  A single chunk runs in this
-    process, more run in worker processes.  Each chunk jumps its recurrence
-    to its start by an exact companion-matrix product, so the result is
-    identical for any worker count.
+    ``jobs`` is accepted and ignored, for callers that still pass it, such
+    as the benchmark's ``bench/workloads.py``.
     """
     if N < 0:
         raise ValueError("table length must be >= 0")
-    workers = worker_count(jobs, _usable_cpus(), N + 1) if N >= 256 else 1
-    if workers == 1:
-        return ValuationTable(spec, p, _chunk_worker(spec, p, 0, N + 1))
-    bounds = [(N + 1) * k // workers for k in range(workers + 1)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(_chunk_worker, [spec] * workers, [p] * workers, bounds, bounds[1:])
-        return ValuationTable(spec, p, tuple(v for chunk in chunks for v in chunk))
+    return ValuationTable(spec, p, tuple(v for v, _bits in iter_valuations_with_bits(spec, p, N + 1)))
 
 
 @dataclass(frozen=True)

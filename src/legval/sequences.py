@@ -27,10 +27,11 @@ reads it, and it is the fallback and the test oracle of the other.
 only modulo p**P and up to a p-adic unit, with P just above what the
 valuations left in the range need, so its steps work on smaller numbers and
 its answers stay exact (precision tracked as in X. Caruso, *Computations
-with p-adic numbers*, 2017).  Both reach the start of a range by jumping
-from U_0, ..., U_{k-1} with a product of the recurrence's companion
-matrices, exact or modulo a power of p, so a chunk starting at n costs a
-few multiplications of numbers of U_n's size, not an O(n**2) summation.
+with p-adic numbers*, 2017); it always steps from U_0, ..., U_{k-1} at
+n = 0, so its precision has one origin.  ``_iter_scaled`` jumps to the start
+of a range with a product of the recurrence's companion matrices, so a range
+starting at n costs a few multiplications of numbers of U_n's size, not an
+O(n**2) summation.
 ``eval_sequence`` reads a record's summation and base.  The direct formulas
 stay the independent oracle the test suite checks the steppers against.
 """
@@ -285,8 +286,8 @@ def cube_sum_2k(n: int) -> int:
 # ``_iter_scaled`` seeds any range start s this way from ``direct(0..k-1)``,
 # multiplying the integer matrices by binary splitting (Bostan, Gaudry &
 # Schost 2007) and dividing once, exactly, at the end.  The integers are the
-# ones a sweep from 0 reaches, so a range split into chunks yields the same
-# values as one sweep.
+# ones a sweep from 0 reaches, so a range from s yields the same values as a
+# sweep from 0.
 #
 # A valuation needs U_n only modulo a power of p above vp(U_n); this is
 # fixed-precision p-adic arithmetic with its precision tracked by hand
@@ -302,26 +303,21 @@ def cube_sum_2k(n: int) -> int:
 # the valuation is undetermined and the rest of the range runs on the exact
 # ``_iter_scaled``, so every answer is exact, never probable.
 #
-# Precision: a range [s, e) starts at P = _MARGIN + vp(D(s+k)...D(e-1)),
-# summed in one streaming pass, and loses t a step.  It also gains g a step
-# when every non-zero A_i(n) of the range has vp >= i*g: if W_i is known
-# modulo p**(P-(i-1)*g), every term of X is known modulo p**(P+g), and the
-# shifted slots keep that form.  U_n of legendre(3) at p = 2 is 2**n times
-# an odd number, and its valuations need the gain.  Such a range starts
-# g*(s+k) digits higher, since its seeds carry about p**(g*s).  Every
-# _REDUCE_EVERY steps the state is reduced modulo p**P, after P is lowered
-# to what is left of the budget plus vp(y), where the gain left more.
-#
-# Jump: a start s > 0 takes M(s+k-1)...M(k) modulo p**(P+K), where
-# K = vp(D(k)...D(s+k-1)), times the seeds, and divides the result exactly
-# by p**K, which leaves λ * (U_{s+k-1}, ..., U_s) modulo p**P.  The exact
-# and the modular jump share ``_companion_product``.
+# Precision: a range [s, e) steps from n = k, whatever s is, and yields
+# from s.  It starts at P = _MARGIN + vp(D(k)...D(e-1)) + g*k, the vp summed
+# in one streaming pass, and loses t a step.  It also gains g a step when
+# every non-zero A_i(n) of the range has vp >= i*g: if W_i is known modulo
+# p**(P-(i-1)*g), every term of X is known modulo p**(P+g), and the shifted
+# slots keep that form.  U_n of legendre(3) at p = 2 is 2**n times an odd
+# number, and its valuations need the gain.  Every _REDUCE_EVERY steps the
+# state is reduced modulo p**P, after P is lowered to what is left of the
+# budget plus vp(y), where the gain left more.
 # ---------------------------------------------------------------------------
 
 _Step = Callable[[int], tuple[int, tuple[int, ...]]]  # n -> (D(n), (A_1(n), ..., A_k(n)))
 
 _LEAF = 8  # companion matrices multiplied in sequence at each leaf of the jump
-_MARGIN = 32  # p-adic digits kept beyond a chunk's precision budget; any value is exact
+_MARGIN = 32  # p-adic digits kept beyond a range's precision budget; any value is exact
 _REDUCE_EVERY = 8  # steps between reductions of the state modulo p**precision
 
 
@@ -385,13 +381,11 @@ def eval_sequence(spec: SequenceSpec, n: int) -> Fraction:
     return Fraction(kind.direct(n, spec.r), kind.base(spec.r) ** n)
 
 
-def _companion_product(step: _Step, lo: int, hi: int, mod: int = 0) -> tuple[list[list[int]], int]:
+def _companion_product(step: _Step, lo: int, hi: int) -> tuple[list[list[int]], int]:
     """M(hi-1)...M(lo) as a list of rows, and D(lo)...D(hi-1), for lo < hi.
 
     Runs of at most ``_LEAF`` matrices are multiplied in sequence, and the
-    runs are joined by binary splitting.  With ``mod``, entries of the joined
-    products that reach ``mod`` are reduced modulo it, and 0 stands in for
-    the D product, which a modular jump does not read."""
+    runs are joined by binary splitting."""
     if hi - lo <= _LEAF:
         d, a = step(lo)
         rows = [list(a)] + [[d if j == i - 1 else 0 for j in range(len(a))]
@@ -403,13 +397,10 @@ def _companion_product(step: _Step, lo: int, hi: int, mod: int = 0) -> tuple[lis
             d *= dn
         return rows, d
     mid = (lo + hi) // 2
-    p, pd = _companion_product(step, mid, hi, mod)
-    q, qd = _companion_product(step, lo, mid, mod)
+    p, pd = _companion_product(step, mid, hi)
+    q, qd = _companion_product(step, lo, mid)
     columns = list(zip(*q))
-    rows = [[sum(map(mul, row, col)) for col in columns] for row in p]
-    if mod:
-        return [[x if -mod < x < mod else x % mod for x in row] for row in rows], 0
-    return rows, pd * qd
+    return [[sum(map(mul, row, col)) for col in columns] for row in p], pd * qd
 
 
 def _split(p: int, d: int) -> tuple[int, int]:
@@ -485,34 +476,25 @@ def iter_valuations_with_bits(
     the bit length of the integer the stepper carried: a residue modulo a
     power of p, or U_n itself after a fallback; 0 for an infinite valuation.
 
-    Steps the recurrence modulo p**P (see the comment block above
-    ``_Kind``).  An index whose residue leaves its valuation undetermined
-    hands the rest of the range to the exact stepper ``_iter_scaled``."""
+    Steps the recurrence modulo p**P from n = 0 (see the comment block above
+    ``_Kind``) and yields from ``start`` on.  An index whose residue leaves
+    its valuation undetermined hands the rest of the range, from that index
+    or from ``start`` if it is later, to the exact stepper ``_iter_scaled``."""
     if start < 0 or stop < start:
         raise ValueError(f"bad index range [{start}, {stop})")
     kind = _KINDS[spec.kind]
     shift = vp_int(p, kind.base(spec.r)).value
     step = kind.step(spec.r)
     k = len(step(0)[1])
-    budget, gain = _vp_steps(step, p, start + k, stop)
+    budget, gain = _vp_steps(step, p, k, stop)
     budget += _MARGIN
-    precision = budget + gain * (start + k)  # jumped seeds may carry p**(gain*start)
+    precision = budget + gain * k
     window = [kind.direct(n, spec.r) for n in reversed(range(k))]  # U_{k-1}, ..., U_0
-    if start:
-        K = _vp_steps(step, p, k, start + k)[0]
-        rows, _ = _companion_product(step, k, start + k, p ** (precision + K))
-        window, rems = zip(*(divmod(sum(map(mul, row, window)), p**K) for row in rows))
-        assert not any(rems), f"{spec.canonical()} jump to {start} lost exactness"
-    for n, w in enumerate(window[::-1][: stop - start], start):
-        v = vp_int(p, w)
-        if start and not v < precision:  # seeds from 0 are exact, jumped ones are residues
-            yield from _exact_valuations(spec, p, shift, n, stop)
-            return
-        yield v - n * shift, w.bit_length()
-    window = list(window)  # newest first: window[i] = λ_i * U_{n-1-i} for the next n
-    owed = [1] * k  # small units with owed[i] * λ_i = λ_0
+    for n, w in enumerate(window[::-1][start:stop], start):  # exact seeds, exact valuations
+        yield vp_int(p, w) - n * shift, w.bit_length()
+    owed = [1] * k  # small units with owed[i] * λ_i = λ_0; window[i] = λ_i * U_{n-1-i}
     mod, reduced = p**precision, precision  # mod = p**reduced, kept without a fresh power
-    for n in range(start + k, stop):
+    for n in range(k, stop):
         d, a = step(n)
         t, u = _split(p, d)
         terms = map(mul, map(mul, a, owed), window)
@@ -524,12 +506,13 @@ def iter_valuations_with_bits(
         budget -= t
         v = vp_int(p, y)
         if not v < precision:  # y = 0 or y = 0 modulo p**precision
-            yield from _exact_valuations(spec, p, shift, n, stop)
+            yield from _exact_valuations(spec, p, shift, max(n, start), stop)
             return
-        yield v - n * shift, y.bit_length()
+        if n >= start:
+            yield v - n * shift, y.bit_length()
         window = [y] + window[:-1]
         owed = [1] + [u * f for f in owed[:-1]]
-        if not (n - start) % _REDUCE_EVERY:
+        if not n % _REDUCE_EVERY:
             precision = min(precision, budget + v.value)
             if precision < reduced:
                 mod //= p ** (reduced - precision)

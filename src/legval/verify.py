@@ -152,11 +152,11 @@ def _range_params(lo: int, hi: int, **extra: str) -> dict[str, str]:
     return params
 
 
-def verify_thm4(p: Prime, lo: int, hi: int, jobs: int = 1) -> VerificationReport:
+def verify_thm4(p: Prime, lo: int, hi: int) -> VerificationReport:
     """All three predictors for vp(P_n(p)), odd p, against the exact oracle."""
     p = _require_odd(p, "thm4")
     params = _range_params(lo, hi, p=str(int(p)))
-    table = build_table(SequenceSpec.legendre(p), p, hi, jobs=jobs)
+    table = build_table(SequenceSpec.legendre(p), p, hi)
     return _report("thm4", params, hi - lo + 1, (_differ(n, {
         "cases": predict_vp_legendre_at_p_cases(p, n),
         "digits": predict_vp_legendre_at_p_digits(p, n),
@@ -164,30 +164,30 @@ def verify_thm4(p: Prime, lo: int, hi: int, jobs: int = 1) -> VerificationReport
     }, table.values[n]) for n in range(lo, hi + 1)))
 
 
-def verify_thm5(lo: int, hi: int, jobs: int = 1) -> VerificationReport:
+def verify_thm5(lo: int, hi: int) -> VerificationReport:
     """The 2-adic formula for vp(P_n(2)) against the exact oracle."""
     params = _range_params(lo, hi)
-    table = build_table(SequenceSpec.legendre(2), Prime(2), hi, jobs=jobs)
+    table = build_table(SequenceSpec.legendre(2), Prime(2), hi)
     return _report("thm5", params, hi - lo + 1, (
         _differ(n, predict_vp_legendre_at_2(n), table.values[n]) for n in range(lo, hi + 1)))
 
 
-def verify_thm3(p: Prime, r: Fraction, lo: int, hi: int, jobs: int = 1) -> VerificationReport:
+def verify_thm3(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport:
     """Both general predictors for vp(P_n(r)), vp(r) >= 1, against the oracle."""
     ctx = _context(p, r)
     params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
-    table = build_table(SequenceSpec.legendre(r), p, hi, jobs=jobs)
+    table = build_table(SequenceSpec.legendre(r), p, hi)
     return _report("thm3", params, hi - lo + 1, (_differ(n, {
         "cases": predict_vp_legendre_general(ctx, n),
         "oneline": predict_vp_legendre_general_oneline(ctx, n),
     }, table.values[n]) for n in range(lo, hi + 1)))
 
 
-def verify_thm6(p: Prime, lo: int, hi: int, jobs: int = 1) -> VerificationReport:
+def verify_thm6(p: Prime, lo: int, hi: int) -> VerificationReport:
     """The digit recurrence step f(pn+a) from f(n), against the exact oracle."""
     p = _require_odd(p, "thm6")
     params = _range_params(lo, hi, p=str(int(p)))
-    table = build_table(SequenceSpec.legendre(p), p, int(p) * hi + int(p) - 1, jobs=jobs)
+    table = build_table(SequenceSpec.legendre(p), p, int(p) * hi + int(p) - 1)
     return _report("thm6", params, (hi - lo + 1) * int(p), (_differ(
         int(p) * n + a, recurrence_step(p, table.values[n], n, a), table.values[int(p) * n + a],
         detail=f"n={n} a={a}") for n in range(lo, hi + 1) for a in range(int(p))))
@@ -207,7 +207,7 @@ def verify_thm7(p: Prime, lo: int, hi: int) -> VerificationReport:
         for n in range(lo, hi + 1)))
 
 
-def verify_conj1(lo: int, hi: int, jobs: int = 1, against: str = "oracle") -> VerificationReport:
+def verify_conj1(lo: int, hi: int, against: str = "oracle") -> VerificationReport:
     """Conjectured 3-adic Delannoy valuations, either against the exact
     Delannoy oracle or against the digit formula (fast, for huge ranges)."""
     if against not in ("oracle", "digits"):
@@ -215,7 +215,7 @@ def verify_conj1(lo: int, hi: int, jobs: int = 1, against: str = "oracle") -> Ve
     params = _range_params(lo, hi, against=against)
     p3 = Prime(3)
     if against == "oracle":
-        table = build_table(SequenceSpec.delannoy(), p3, hi, jobs=jobs)
+        table = build_table(SequenceSpec.delannoy(), p3, hi)
         return _report("conj1", params, hi - lo + 1, (
             _differ(i, predict_b_conjecture1(i), table.values[i]) for i in range(lo, hi + 1)))
     bs = predict_b_conjecture1_prefix(hi + 1)
@@ -276,23 +276,23 @@ def verify_lemma6(p: Prime, lo: int, hi: int) -> VerificationReport:
 
 
 def _verify_q_parity(theorem_id: str, parity: int, p: Prime, r: Fraction,
-                     lo: int, hi: int, jobs: int) -> VerificationReport:
+                     lo: int, hi: int) -> VerificationReport:
     ctx = _context(p, r)
     params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
-    table = build_table(SequenceSpec.q(r), p, hi, jobs=jobs)
+    table = build_table(SequenceSpec.q(r), p, hi)
     indices = range(lo + (lo + parity) % 2, hi + 1, 2)
     return _report(theorem_id, params, len(indices), (
         _differ(n, predict_vp_Q(ctx, n), table.values[n]) for n in indices))
 
 
-def verify_lemma8(p: Prime, r: Fraction, lo: int, hi: int, jobs: int = 1) -> VerificationReport:
+def verify_lemma8(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport:
     """vp(Q_n(r)) at even n equals vp of the central binomial coefficient."""
-    return _verify_q_parity("lemma8", 0, p, r, lo, hi, jobs)
+    return _verify_q_parity("lemma8", 0, p, r, lo, hi)
 
 
-def verify_lemma9(p: Prime, r: Fraction, lo: int, hi: int, jobs: int = 1) -> VerificationReport:
+def verify_lemma9(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport:
     """vp(Q_n(r)) at odd n, including the extra +1 for p = 2."""
-    return _verify_q_parity("lemma9", 1, p, r, lo, hi, jobs)
+    return _verify_q_parity("lemma9", 1, p, r, lo, hi)
 
 
 def verify_eq_ma(lo: int, hi: int, points: tuple[Fraction, ...] | None = None) -> VerificationReport:
@@ -352,14 +352,13 @@ def run_verification(
     *,
     p: Prime | None = None,
     r: Fraction | None = None,
-    jobs: int = 1,
     against: str = "oracle",
 ) -> VerificationReport:
     """Runs a campaign by id with the parameters it takes (see ``_bind_options``)."""
     campaign = _CAMPAIGNS.get(theorem_id)
     if campaign is None:
         raise UsageError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
-    given = {"p": p, "r": r, "jobs": jobs, "against": against}
+    given = {"p": p, "r": r, "against": against}
     return campaign.run(lo=lo, hi=hi, **_bind_options(theorem_id, campaign.run, given))
 
 

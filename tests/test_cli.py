@@ -112,6 +112,19 @@ class TestPredict:
         code, _, err = run(capsys, "predict", "--predictor", "strauss", "--n", "0..4")
         assert code == 2
 
+    def test_streams_rows_as_computed(self, capsys, monkeypatch):
+        # a predictor that fails at n = 3 finds rows 0..2 already written,
+        # so a long range is never held in memory before printing
+        def stub(n):
+            if n == 3:
+                raise RuntimeError("stub predictor stops at n = 3")
+            return n
+
+        monkeypatch.setitem(_PREDICTORS, "conj2", lambda: stub)
+        with pytest.raises(RuntimeError):
+            main(["predict", "--predictor", "conj2", "--n", "0..100000000"])
+        assert capsys.readouterr().out.splitlines() == ["0 0", "1 1", "2 2"]
+
 
 # the options each predictor requires, as its usage error names them
 PREDICTOR_REQUIRES = {

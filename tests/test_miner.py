@@ -18,7 +18,6 @@ from legval.miner import (
     integer_matrix_rank,
     mine_relations,
     verify_relation,
-    worker_count,
 )
 from legval.sequences import SequenceSpec
 
@@ -230,17 +229,6 @@ class TestBuildTable:
         assert t.values[0].is_infinite
         assert list(t.values[1:]) == [0, 1]
 
-    @pytest.mark.parametrize("jobs, cpus, chunks, want", [
-        (1, 8, 1000, 1),
-        (2, 2, 1000, 2),
-        (64, 2, 1000, 2),   # never more workers than usable CPUs
-        (8, 64, 3, 3),      # nor than non-empty chunks
-        (4, 1, 1000, 1),
-        (0, 4, 1000, 1),
-    ])
-    def test_worker_count(self, jobs, cpus, chunks, want):
-        assert worker_count(jobs, cpus, chunks) == want
-
     @pytest.mark.parametrize(
         "spec",
         [
@@ -254,10 +242,20 @@ class TestBuildTable:
         ids=SequenceSpec.canonical,
     )
     def test_jobs_deterministic(self, spec):
-        # 486 indices in two chunks: the second starts at 243 = 3**5
+        # jobs is accepted for compatibility and changes nothing
         serial = build_table(spec, P3, 485)
         parallel = build_table(spec, P3, 485, jobs=2)
         assert serial == parallel
+
+    def test_jobs_starts_no_worker_process(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_table started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        table = build_table(SequenceSpec.dsum(), P3, 485, jobs=2)
+        assert table == build_table(SequenceSpec.dsum(), P3, 485)
 
     def test_matches_oracle_values(self):
         from legval.arith import vp_rat

@@ -365,8 +365,9 @@ JUMP_SPECS = [
 
 
 class TestJumpAhead:
-    """A range that starts past 1 is seeded by the companion-matrix jump;
-    every value it yields must equal the direct summation."""
+    """A range that starts past 1: ``_iter_scaled`` jumps there by a
+    companion-matrix product, ``iter_valuations_with_bits`` steps there from
+    n = 0; every value either yields must equal the direct summation."""
 
     @pytest.mark.parametrize("start", [2, 3, 4, 242, 243, 244, 1000])
     @pytest.mark.parametrize("spec", JUMP_SPECS, ids=SequenceSpec.canonical)
@@ -429,15 +430,14 @@ def chunk_starts(p):
 
 
 class TestModularStepper:
-    """``iter_valuations_with_bits`` steps modulo p**P and jumps to a chunk
-    start modulo p**(P+K); every valuation must equal the exact stepper's."""
+    """``iter_valuations_with_bits`` steps modulo p**P from n = 0 and yields
+    from the range start; every valuation must equal the exact stepper's."""
 
     @pytest.mark.parametrize("p", PRIMES, ids=int)
     @pytest.mark.parametrize("spec", MODULAR_SPECS + ZERO_SPECS, ids=SequenceSpec.canonical)
-    def test_tables_match_exact(self, spec, p, monkeypatch):
+    def test_tables_match_exact(self, spec, p):
         from legval import miner
 
-        monkeypatch.setattr(miner, "_usable_cpus", lambda: 2)  # jobs=2 really splits
         N = 300
         want = exact_valuations(spec, p, N + 1)
         for jobs in (1, 2):
@@ -478,6 +478,24 @@ class TestModularStepper:
                     got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, p, stop, start)]
                     assert got == want[start:stop], (int(p), start, stop)
         assert len(fallbacks) > 20
+
+    def test_fallback_in_skipped_prefix_resumes_at_start(self, monkeypatch):
+        # U_n of legendre(0) is 0 at every odd n, so the residue at n = 3
+        # falls back; the exact stepper must start at 1001, not at 3
+        from legval import sequences
+
+        fallbacks = []
+        exact = sequences._exact_valuations
+
+        def counted(spec, p, shift, start, stop):
+            fallbacks.append(start)
+            return exact(spec, p, shift, start, stop)
+
+        monkeypatch.setattr(sequences, "_exact_valuations", counted)
+        spec, p = SequenceSpec.legendre(0), Prime(3)
+        got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, p, 1005, 1001)]
+        assert fallbacks == [1001]
+        assert got == exact_valuations(spec, p, 1005, 1001)
 
     def test_vp_steps(self):
         from legval.sequences import _vp_steps
