@@ -24,11 +24,17 @@ with O(1) arithmetic operations per step.  ``_iter_scaled`` carries the
 exact integers U_n, which grow by Θ(1) digits a step; ``iter_sequence_values``
 reads it, and it is the fallback and the test oracle of the other.
 ``iter_valuations_with_bits``, behind every valuation stream, carries U_n
-only modulo p**P and up to a p-adic unit, with P just above what the
-valuations left in the range need, so its steps work on smaller numbers and
-its answers stay exact (precision tracked as in X. Caruso, *Computations
-with p-adic numbers*, 2017); it always steps from U_0, ..., U_{k-1} at
-n = 0, so its precision has one origin.  ``_iter_scaled`` jumps to the start
+only modulo p**P and up to a p-adic unit, so its steps work on small numbers
+and its answers stay exact (precision tracked as in X. Caruso, *Computations
+with p-adic numbers*, 2017).  It always steps from U_0, ..., U_{k-1} at
+n = 0, and P follows one of two policies in one loop.  Where the comment
+above ``_Kind`` proves that the transition matrices of the recurrence lose at
+most L digits to index N (legendre and q at p not dividing 2b, cigler at p
+not dividing 2b - a, delannoy and dsum at every p), P is a constant, L plus
+a margin of a few dozen digits, and a table to N costs O(N) small steps.
+Elsewhere (cube2k, and legendre, q and cigler at the other primes) P starts
+at a budget of every division by p the range makes, about N/(p-1) digits,
+and falls as the budget is spent.  ``_iter_scaled`` jumps to the start
 of a range with a product of the recurrence's companion matrices, so a range
 starting at n costs a few multiplications of numbers of U_n's size, not an
 O(n**2) summation.
@@ -299,25 +305,74 @@ def cube_sum_2k(n: int) -> int:
 # is an exact multiple of p**t, and y = X / p**t = λ_1 * u * U_n modulo
 # p**(P-t).  y is the next W_1, with unit λ_1 * u, so each f_i takes the
 # factor u; no inverse and no big multiply beyond the products in X.  Then
-# vp(U_n) = vp(y) when vp(y) < P - t.  Otherwise (y = 0, as when U_n = 0)
-# the valuation is undetermined and the rest of the range runs on the exact
-# ``_iter_scaled``, so every answer is exact, never probable.
+# vp(U_n) = vp(y) when vp(y) is below the precision y is known to.
+# Otherwise (y = 0, as when U_n = 0) the valuation is undetermined.
 #
-# Precision: a range [s, e) steps from n = k, whatever s is, and yields
-# from s.  It starts at P = _MARGIN + vp(D(k)...D(e-1)) + g*k, the vp summed
-# in one streaming pass, and loses t a step.  It also gains g a step when
-# every non-zero A_i(n) of the range has vp >= i*g: if W_i is known modulo
+# Exact zeros: the stepper flags each slot that holds an exact 0, a seed
+# that is 0 or a step whose every term has A_i(n) = 0 or a flagged slot.
+# Such a step is exactly 0, and so is its residue, with no error to carry;
+# it yields inf and is flagged.  U_n of legendre(0) and q(0) is 0 at every
+# odd n this way, since A_1(n) = 2a*(2n-1) = 0.  Any other undetermined
+# index hands the rest of the range to the exact ``_iter_scaled``, so every
+# answer is exact, never probable.
+#
+# A range [s, e) steps from n = k, whatever s is, and yields from s.  Its
+# precision follows one of two policies, in one loop.
+#
+# Constant precision, for the (kind, p) pairs whose ``loss`` gives a bound.
+# Write T(j, n) = M(n)...M(j+1) / (D(j+1)...D(n)) for the map from the state
+# at j to the state at n.  Reducing the state modulo p**Q after step j adds a
+# vector of multiples of p**Q, which reaches step n multiplied by T(j, n), up
+# to the units λ_i; errors enter nowhere else, and the map is linear.  So
+# if vp(T(j, n)) >= -L for k-1 <= j < n < e, every error is a multiple of
+# p**(Q-L) (the lattice view of precision: Caruso, Roe & Vaccon, "Tracking
+# p-adic precision", LMS J. Comput. Math. 17A, 2014).  With Q = L + S every
+# division by p**t stays exact, as the assertion checks, and vp(y) < S
+# settles vp(U_n).  S is _MARGIN plus the largest valuation of a seed, since
+# U_n of legendre, q and cigler at odd n is a multiple of U_1 = 2a or a.
+#
+# The bounds, for order 2: if U and Z solve the recurrence and
+# C_n = U_n*Z_{n-1} - Z_n*U_{n-1} != 0, then with Φ_n = [[U_n, Z_n],
+# [U_{n-1}, Z_{n-1}]], T(j, n) = Φ_n Φ_j^-1, whose entries are
+# (U_a*Z_b - Z_a*U_b) / C_j for a in {n, n-1} and b in {j, j-1}.
+#
+#   legendre, q, cigler, delannoy: n*U_n = α*(2n-1)*U_{n-1} - c*(n-1)*U_{n-2}
+#             with c = 4b**2, (2b-a)**2 and 1.  The second solution is
+#             Z_n = Σ_{m=1..n} U_{m-1}*U_{n-m} / m: for legendre, (2b)**(n-1)
+#             times the W_{n-1}(x) = Σ P_{m-1}(x)*P_{n-m}(x) / m of DLMF
+#             §14.7(i); for cigler the same through M_n(x) =
+#             (2-x)**n * P_n(x/(2-x)), so that U_n = (2b-a)**n * P_n(a/(2b-a)).
+#             U is integral and Z has only the denominators m <= N, so a
+#             numerator has vp >= -⌊log_p N⌋.  n*C_n = c*(n-1)*C_{n-1} and
+#             C_1 = -1 give C_j = -c**(j-1) / j, and 1/C_j has vp >= 0 where
+#             p does not divide c.  So vp(T(j, n)) >= -⌊log_p N⌋, attained
+#             when N is a power of p (the loss-bound test measures it);
+#             L = 2⌊log_p N⌋ holds that bound twice over, for a few digits
+#             of Q.
+#   dsum      the constant 1 and U solve it, both integral, and
+#             C_j = U_{j-1} - U_j = -C(2j-2, j-1), whose vp is the number of
+#             carries adding j-1 to itself in base p (Kummer), at most
+#             ⌊log_p(2j-2)⌋.  So L = ⌊log_p 2N⌋.
+#
+# Decreasing precision, everywhere else: cube2k (order 3, with no proof
+# yet), legendre and q where p | 2b, and cigler where p | 2b-a, where C_j has
+# vp growing with j.  P starts at _MARGIN + vp(D(k)...D(e-1)) + g*k, the vp
+# summed in one streaming pass ``_vp_steps``, as if each division lost its t
+# digits for good, and falls by t a step.  It also gains g a step when every
+# non-zero A_i(n) of the range has vp >= i*g: if W_i is known modulo
 # p**(P-(i-1)*g), every term of X is known modulo p**(P+g), and the shifted
 # slots keep that form.  U_n of legendre(3) at p = 2 is 2**n times an odd
-# number, and its valuations need the gain.  Every _REDUCE_EVERY steps the
-# state is reduced modulo p**P, after P is lowered to what is left of the
-# budget plus vp(y), where the gain left more.
+# number, and its valuations need the gain.  vp(y) < P settles vp(U_n).
+#
+# Every _REDUCE_EVERY steps the state is reduced modulo p**P; on the
+# decreasing policy P is first lowered to what is left of the budget plus
+# vp(y), where the gain left more.
 # ---------------------------------------------------------------------------
 
 _Step = Callable[[int], tuple[int, tuple[int, ...]]]  # n -> (D(n), (A_1(n), ..., A_k(n)))
 
 _LEAF = 8  # companion matrices multiplied in sequence at each leaf of the jump
-_MARGIN = 32  # p-adic digits kept beyond a range's precision budget; any value is exact
+_MARGIN = 32  # p-adic digits kept beyond the loss bound or budget; any value is exact
 _REDUCE_EVERY = 8  # steps between reductions of the state modulo p**precision
 
 
@@ -326,11 +381,26 @@ class _Kind:
     direct: Callable[[int, Fraction | None], int]
     base: Callable[[Fraction | None], int]
     step: Callable[[Fraction | None], _Step]
+    # (r, p, N) -> the L proved above, or None where there is no proof
+    loss: Callable[[Fraction | None, int, int], int | None] = lambda r, p, N: None
+
+
+def _floor_log(p: int, n: int) -> int:
+    """⌊log_p n⌋, and 0 for n < p."""
+    e = 0
+    while n >= p:
+        n //= p
+        e += 1
+    return e
 
 
 def _rodrigues_step(r: Fraction) -> _Step:
     a, bb = r.numerator, r.denominator**2
     return lambda n: (n, (2 * a * (2 * n - 1), -4 * bb * (n - 1)))
+
+
+def _rodrigues_loss(r: Fraction, p: int, N: int) -> int | None:
+    return 2 * _floor_log(p, N) if 2 * r.denominator % p else None
 
 
 def _cigler_step(r: Fraction) -> _Step:
@@ -343,26 +413,31 @@ _KINDS = {
         direct=lambda n, r: _rodrigues_parts(n, r)[0],
         base=lambda r: 2 * r.denominator,
         step=_rodrigues_step,
+        loss=_rodrigues_loss,
     ),
     SequenceKind.Q: _Kind(
         direct=lambda n, r: _rodrigues_parts(n, r)[0],
         base=lambda r: r.denominator,
         step=_rodrigues_step,
+        loss=_rodrigues_loss,
     ),
     SequenceKind.CIGLER: _Kind(
         direct=lambda n, r: _cigler_parts(n, r)[0],
         base=lambda r: r.denominator,
         step=_cigler_step,
+        loss=lambda r, p, N: 2 * _floor_log(p, N) if (2 * r.denominator - r.numerator) % p else None,
     ),
     SequenceKind.DELANNOY: _Kind(
         direct=lambda n, r: central_delannoy(n),
         base=lambda r: 1,
         step=lambda r: lambda n: (n, (3 * (2 * n - 1), -(n - 1))),
+        loss=lambda r, p, N: 2 * _floor_log(p, N),
     ),
     SequenceKind.DSUM: _Kind(
         direct=lambda n, r: partial_sum_central_binomial(n),
         base=lambda r: 1,
         step=lambda r: lambda n: (n - 1, (5 * n - 7, -2 * (2 * n - 3))),
+        loss=lambda r, p, N: _floor_log(p, 2 * N),
     ),
     SequenceKind.CUBE2K: _Kind(
         direct=lambda n, r: cube_sum_2k(n),
@@ -478,20 +553,28 @@ def iter_valuations_with_bits(
 
     Steps the recurrence modulo p**P from n = 0 (see the comment block above
     ``_Kind``) and yields from ``start`` on.  An index whose residue leaves
-    its valuation undetermined hands the rest of the range, from that index
-    or from ``start`` if it is later, to the exact stepper ``_iter_scaled``."""
+    its valuation undetermined, and is not an exact zero, hands the rest of
+    the range, from that index or from ``start`` if it is later, to the exact
+    stepper ``_iter_scaled``."""
     if start < 0 or stop < start:
         raise ValueError(f"bad index range [{start}, {stop})")
     kind = _KINDS[spec.kind]
     shift = vp_int(p, kind.base(spec.r)).value
     step = kind.step(spec.r)
     k = len(step(0)[1])
-    budget, gain = _vp_steps(step, p, k, stop)
-    budget += _MARGIN
-    precision = budget + gain * k
     window = [kind.direct(n, spec.r) for n in reversed(range(k))]  # U_{k-1}, ..., U_0
+    loss = kind.loss(spec.r, p, stop)
+    fixed = loss is not None
+    if fixed:  # constant precision; y % unsettled == 0 leaves vp(U_n) open
+        settles = _MARGIN + max((_split(p, w)[0] for w in window if w), default=0)
+        precision, unsettled = loss + settles, p**settles
+    else:  # decreasing precision, from the budget
+        budget, gain = _vp_steps(step, p, k, stop)
+        budget += _MARGIN
+        precision = budget + gain * k
     for n, w in enumerate(window[::-1][start:stop], start):  # exact seeds, exact valuations
         yield vp_int(p, w) - n * shift, w.bit_length()
+    zeros = [not w for w in window]  # the slots that hold an exact 0
     owed = [1] * k  # small units with owed[i] * λ_i = λ_0; window[i] = λ_i * U_{n-1-i}
     mod, reduced = p**precision, precision  # mod = p**reduced, kept without a fresh power
     for n in range(k, stop):
@@ -502,23 +585,31 @@ def iter_valuations_with_bits(
         if t:
             y, rem = divmod(y, p**t)
             assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
-        precision += gain - t
-        budget -= t
-        v = vp_int(p, y)
-        if not v < precision:  # y = 0 or y = 0 modulo p**precision
+        if not fixed:
+            precision += gain - t
+            budget -= t
+        if fixed and n < start:  # a skipped index needs only whether it settles
+            settled = y % unsettled
+        else:
+            v = vp_int(p, y)
+            settled = v < (settles if fixed else precision)
+        zero = not settled and all(z or not c for c, z in zip(a, zeros))
+        if not (settled or zero):
             yield from _exact_valuations(spec, p, shift, max(n, start), stop)
             return
         if n >= start:
             yield v - n * shift, y.bit_length()
         window = [y] + window[:-1]
+        zeros = [zero] + zeros[:-1]
         owed = [1] + [u * f for f in owed[:-1]]
         if not n % _REDUCE_EVERY:
-            precision = min(precision, budget + v.value)
-            if precision < reduced:
-                mod //= p ** (reduced - precision)
-            else:
-                mod *= p ** (precision - reduced)
-            reduced = precision
+            if not (fixed or zero):
+                precision = min(precision, budget + v.value)
+                if precision < reduced:
+                    mod //= p ** (reduced - precision)
+                else:
+                    mod *= p ** (precision - reduced)
+                reduced = precision
             window = [w % mod for w in window]
 
 

@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -406,8 +408,8 @@ MODULAR_SPECS = [
     SequenceSpec.dsum(),
     SequenceSpec.cube2k(),
 ]
-# U_n = 0 at every odd n of these, so their residues leave the valuation
-# undetermined and the stepper falls back to the exact integers
+# U_n = 0 at every odd n of these, because A_1(n) = 0 and U_1 = 0: the
+# stepper flags those exact zeros and yields inf, with no fallback
 ZERO_SPECS = [SequenceSpec.legendre(0), SequenceSpec.q(0)]
 PRIMES = [Prime(2), Prime(3), Prime(5), Prime(7)]
 
@@ -417,6 +419,11 @@ def exact_valuations(spec, p, stop, start=0):
     from legval.arith import vp_rat
 
     return [vp_rat(p, v) for v in iter_sequence_values(spec, stop, start)]
+
+
+def no_fallback(spec, p, shift, start, stop):
+    """Stands in for ``sequences._exact_valuations`` where none may run."""
+    raise AssertionError(f"fallback to the exact stepper at {start}")
 
 
 def chunk_starts(p):
@@ -457,8 +464,8 @@ class TestModularStepper:
 
     @pytest.mark.parametrize("spec", MODULAR_SPECS + ZERO_SPECS, ids=SequenceSpec.canonical)
     def test_no_margin_falls_back_exactly(self, spec, monkeypatch):
-        # With no digits beyond the budget, the last indices of every range
-        # are undetermined, so the fallback runs over and over.
+        # With no digits beyond the budget or the loss bound, indices are
+        # left undetermined, so the fallback runs over and over.
         from legval import sequences
 
         fallbacks = []
@@ -480,8 +487,10 @@ class TestModularStepper:
         assert len(fallbacks) > 20
 
     def test_fallback_in_skipped_prefix_resumes_at_start(self, monkeypatch):
-        # U_n of legendre(0) is 0 at every odd n, so the residue at n = 3
-        # falls back; the exact stepper must start at 1001, not at 3
+        # U_n = U_{n-1} - U_{n-2} from 1, 1 is 0 at n = 2, 5, 8, ..., never as
+        # an exact zero, so the residue at n = 2 falls back; the exact stepper
+        # must start at 1001, not at 2.  Its transition matrices are integral,
+        # so L = 0 is a valid bound, and both precision policies are tried.
         from legval import sequences
 
         fallbacks = []
@@ -492,10 +501,90 @@ class TestModularStepper:
             return exact(spec, p, shift, start, stop)
 
         monkeypatch.setattr(sequences, "_exact_valuations", counted)
-        spec, p = SequenceSpec.legendre(0), Prime(3)
-        got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, p, 1005, 1001)]
-        assert fallbacks == [1001]
-        assert got == exact_valuations(spec, p, 1005, 1001)
+        spec, p = SequenceSpec.delannoy(), Prime(3)
+        for loss in (None, 0):
+            kinds = dict(sequences._KINDS)
+            kinds[SequenceKind.DELANNOY] = sequences._Kind(
+                direct=lambda n, r: 1, base=lambda r: 1, step=lambda r: lambda n: (1, (1, -1)),
+                loss=lambda r, p, N: loss)
+            monkeypatch.setattr(sequences, "_KINDS", kinds)
+            fallbacks.clear()
+            got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, p, 1005, 1001)]
+            assert fallbacks == [1001], loss
+            assert got == exact_valuations(spec, p, 1005, 1001) == [INF, 0, 0, INF]
+
+    @pytest.mark.parametrize("p", PRIMES, ids=int)
+    @pytest.mark.parametrize("spec", ZERO_SPECS, ids=SequenceSpec.canonical)
+    def test_exact_zeros_do_not_fall_back(self, spec, p, monkeypatch):
+        from legval import sequences
+
+        want = exact_valuations(spec, p, 1001)
+        monkeypatch.setattr(sequences, "_exact_valuations", no_fallback)
+        for start in (0, 1, 2, 3, 500, 501):
+            got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, p, 1001, start)]
+            assert got == want[start:]
+        assert want[1::2] == [INF] * 500
+
+    @pytest.mark.parametrize("spec", [SequenceSpec.legendre(3**40), SequenceSpec.cigler(Fraction(3**40, 2))],
+                             ids=SequenceSpec.canonical)
+    def test_large_seed_valuation_settles(self, spec, monkeypatch):
+        # vp(U_n) >= 40 at every odd n, above _MARGIN: the constant precision
+        # keeps the seeds' valuations too, so no index is left open
+        from legval import sequences
+
+        three = Prime(3)
+        want = exact_valuations(spec, three, 301)
+        monkeypatch.setattr(sequences, "_exact_valuations", no_fallback)
+        assert [v for v, _bits in sequences.iter_valuations_with_bits(spec, three, 301)] == want
+        assert min(want[1::2]) >= 40
+
+    @pytest.mark.parametrize("p", PRIMES, ids=int)
+    @pytest.mark.parametrize("spec", MODULAR_SPECS, ids=SequenceSpec.canonical)
+    def test_loss_bound_holds(self, spec, p):
+        # The constant precision needs vp(T(j, n)) >= -L for k-1 <= j < n <= N,
+        # T(j, n) = M(n)...M(j+1) / (D(j+1)...D(n)).  Step the integer
+        # companion products from every origin j, modulo p**K with K above
+        # every vp(D(j+1)...D(n)), so a residue 0 means enough valuation.
+        from legval.arith import vp_int
+        from legval.sequences import _KINDS
+
+        kind = _KINDS[spec.kind]
+        e = 5 if p <= 3 else 3
+        N = p**e
+        L = kind.loss(spec.r, p, N + 1)
+        if L is None:
+            pytest.skip("no proven bound: decreasing precision")
+        step = kind.step(spec.r)
+        k = len(step(0)[1])
+        steps = [step(n) for n in range(N + 1)]
+        owed = [0] * (k + 1)  # owed[n] = vp(D(k)...D(n-1))
+        for d, _a in steps[k:]:
+            owed.append(owed[-1] + vp_int(p, d).value)
+        mod = p ** (owed[-1] + 1)
+        vp_of = {p**i: i for i in range(owed[-1] + 2)}  # vp of a gcd with mod, a power of p
+        lost = 0
+        for j in range(k - 1, N):
+            rows = [[int(i == c) for c in range(k)] for i in range(k)]
+            for n in range(j + 1, N + 1):
+                d, a = steps[n]
+                top = [sum(map(mul, a, col)) % mod for col in zip(*rows)]
+                rows = [top] + [[d * x for x in row] for row in rows[:-1]]
+                kept = vp_of[math.gcd(mod, *chain.from_iterable(rows))]
+                lost = max(lost, owed[n + 1] - owed[j + 1] - kept)
+        assert lost <= L
+        if spec.kind is not SequenceKind.DSUM:
+            assert lost == e  # the argument's bound ⌊log_p N⌋, attained at N = p**e
+
+    @pytest.mark.parametrize("p, N", [(3, 3**9 + 10), (5, 5**6 + 10)])
+    def test_tables_at_scale_match_digit_formula(self, p, N):
+        # far past the p**j boundaries of the N = 300 grid; the thm4 digit
+        # formula is an oracle that shares no code with the stepper
+        from legval import miner
+        from legval.predictors import predict_vp_legendre_at_p_digits
+
+        p = Prime(p)
+        table = miner.build_table(SequenceSpec.legendre(p), p, N)
+        assert list(table.values) == [predict_vp_legendre_at_p_digits(p, n) for n in range(N + 1)]
 
     def test_vp_steps(self):
         from legval.sequences import _vp_steps
