@@ -26,18 +26,19 @@ reads it, and it is the fallback and the test oracle of the other.
 ``iter_valuations_with_bits``, behind every valuation stream, carries U_n
 only modulo p**P and up to a p-adic unit, so its steps work on small numbers
 and its answers stay exact (precision tracked as in X. Caruso, *Computations
-with p-adic numbers*, 2017).  It always steps from U_0, ..., U_{k-1} at
-n = 0, and P follows one of two policies in one loop.  Where the comment
-above ``_Kind`` proves that the transition matrices of the recurrence lose at
-most L digits to index N (legendre and q at p not dividing 2b, cigler at p
-not dividing 2b - a, delannoy and dsum at every p), P is a constant, L plus
-a margin of a few dozen digits, and a table to N costs O(N) small steps.
-Elsewhere (cube2k, and legendre, q and cigler at the other primes) P starts
-at a budget of every division by p the range makes, about N/(p-1) digits,
-and falls as the budget is spent.  ``_iter_scaled`` jumps to the start
-of a range with a product of the recurrence's companion matrices, so a range
-starting at n costs a few multiplications of numbers of U_n's size, not an
-O(n**2) summation.
+with p-adic numbers*, 2017).  P follows one of two policies in one loop.
+Where the comment above ``_Kind`` proves that the transition matrices of
+the recurrence lose at most L digits to index N (legendre and q at p not
+dividing 2b, cigler at p not dividing 2b - a, delannoy and dsum at every p),
+P is a constant, L plus a margin of a few dozen digits, and a table to N
+costs O(N) small steps.  Elsewhere (cube2k, and legendre, q and cigler at
+the other primes) P starts at a budget of every division by p the range
+makes, about N/(p-1) digits, and falls as the budget is spent.  Both steppers start from U_0, ...,
+U_{k-1} at n = 0, whatever index a range starts at, and yield from its
+start, so a range that ends at n costs n steps.  An index a valuation stream
+cannot settle hands the rest of its range on in one order: from the constant
+precision to the decreasing one, stepped again from n = 0, and from there to
+the exact ``_iter_scaled``.
 ``eval_sequence`` reads a record's summation and base.  The direct formulas
 stay the independent oracle the test suite checks the steppers against.
 """
@@ -287,13 +288,9 @@ def cube_sum_2k(n: int) -> int:
 #
 # Every division by D(n) is exact, and D(n) != 0 for n >= k.  With the k x k
 # companion matrix M(n), row 0 (A_1(n), ..., A_k(n)), D(n) on the subdiagonal,
-#     D(n) * (U_n, ..., U_{n-k+1}) = M(n) * (U_{n-1}, ..., U_{n-k}),
-# so M(s+k-1)...M(k) * (U_{k-1}, ..., U_0) = D(k)...D(s+k-1) * (U_{s+k-1}, ..., U_s).
-# ``_iter_scaled`` seeds any range start s this way from ``direct(0..k-1)``,
-# multiplying the integer matrices by binary splitting (Bostan, Gaudry &
-# Schost 2007) and dividing once, exactly, at the end.  The integers are the
-# ones a sweep from 0 reaches, so a range from s yields the same values as a
-# sweep from 0.
+#     D(n) * (U_n, ..., U_{n-k+1}) = M(n) * (U_{n-1}, ..., U_{n-k}).
+# Both steppers start from ``direct(0..k-1)`` at n = 0 and step to any range
+# start s, so a range from s yields the same values as a sweep from 0.
 #
 # A valuation needs U_n only modulo a power of p above vp(U_n); this is
 # fixed-precision p-adic arithmetic with its precision tracked by hand
@@ -313,11 +310,12 @@ def cube_sum_2k(n: int) -> int:
 # Such a step is exactly 0, and so is its residue, with no error to carry;
 # it yields inf and is flagged.  U_n of legendre(0) and q(0) is 0 at every
 # odd n this way, since A_1(n) = 2a*(2n-1) = 0.  Any other undetermined
-# index hands the rest of the range to the exact ``_iter_scaled``, so every
-# answer is exact, never probable.
+# index hands the rest of the range on: from the constant precision below to
+# the decreasing one, stepped again from n = 0, and from the decreasing one
+# to the exact ``_iter_scaled``, so every answer is exact, never probable.
 #
-# A range [s, e) steps from n = k, whatever s is, and yields from s.  Its
-# precision follows one of two policies, in one loop.
+# The precision of a valuation stream follows one of two policies, in one
+# loop.
 #
 # Constant precision, for the (kind, p) pairs whose ``loss`` gives a bound.
 # Write T(j, n) = M(n)...M(j+1) / (D(j+1)...D(n)) for the map from the state
@@ -371,7 +369,6 @@ def cube_sum_2k(n: int) -> int:
 
 _Step = Callable[[int], tuple[int, tuple[int, ...]]]  # n -> (D(n), (A_1(n), ..., A_k(n)))
 
-_LEAF = 8  # companion matrices multiplied in sequence at each leaf of the jump
 _MARGIN = 32  # p-adic digits kept beyond the loss bound or budget; any value is exact
 _REDUCE_EVERY = 8  # steps between reductions of the state modulo p**precision
 
@@ -456,28 +453,6 @@ def eval_sequence(spec: SequenceSpec, n: int) -> Fraction:
     return Fraction(kind.direct(n, spec.r), kind.base(spec.r) ** n)
 
 
-def _companion_product(step: _Step, lo: int, hi: int) -> tuple[list[list[int]], int]:
-    """M(hi-1)...M(lo) as a list of rows, and D(lo)...D(hi-1), for lo < hi.
-
-    Runs of at most ``_LEAF`` matrices are multiplied in sequence, and the
-    runs are joined by binary splitting."""
-    if hi - lo <= _LEAF:
-        d, a = step(lo)
-        rows = [list(a)] + [[d if j == i - 1 else 0 for j in range(len(a))]
-                            for i in range(1, len(a))]
-        for n in range(lo + 1, hi):
-            dn, a = step(n)
-            top = [sum(map(mul, a, col)) for col in zip(*rows)]
-            rows = [top] + [[dn * x for x in row] for row in rows[:-1]]
-            d *= dn
-        return rows, d
-    mid = (lo + hi) // 2
-    p, pd = _companion_product(step, mid, hi)
-    q, qd = _companion_product(step, lo, mid)
-    columns = list(zip(*q))
-    return [[sum(map(mul, row, col)) for col in columns] for row in p], pd * qd
-
-
 def _split(p: int, d: int) -> tuple[int, int]:
     """(t, u) with d = p**t * u and p not dividing u, for d != 0."""
     t = 0
@@ -506,31 +481,30 @@ def _vp_steps(step: _Step, p: int, lo: int, hi: int) -> tuple[int, int]:
 
 
 def _iter_scaled(spec: SequenceSpec, start: int, stop: int) -> Iterator[int]:
-    """Yields the scaled integers U_n for n in [start, stop)."""
+    """Yields the scaled integers U_n for n in [start, stop), stepped from
+    n = 0 whatever ``start`` is."""
     if start < 0 or stop < start:
         raise ValueError(f"bad index range [{start}, {stop})")
     kind = _KINDS[spec.kind]
     step = kind.step(spec.r)
     k = len(step(0)[1])
-    seeds = [kind.direct(n, spec.r) for n in reversed(range(k))]  # U_{k-1}, ..., U_0
-    if start:
-        rows, d = _companion_product(step, k, start + k)
-        seeds, rems = zip(*(divmod(sum(map(mul, row, seeds)), d) for row in rows))
-        assert not any(rems), f"{spec.canonical()} jump to {start} lost exactness"
-    yield from seeds[::-1][: stop - start]
-    window = deque(seeds, maxlen=k)  # U_{n-1}, ..., U_{n-k} for the next n
-    for n in range(start + k, stop):
+    seeds = [kind.direct(n, spec.r) for n in range(k)]  # U_0, ..., U_{k-1}
+    yield from seeds[start:stop]
+    window = deque(reversed(seeds), maxlen=k)  # U_{n-1}, ..., U_{n-k} for the next n
+    for n in range(k, stop):
         d, a = step(n)
         # sum from the first product: sum()'s 0 + term would copy a big integer
         terms = map(mul, a, window)
         u, rem = divmod(sum(terms, next(terms)), d)
         assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
-        yield u
+        if n >= start:
+            yield u
         window.appendleft(u)
 
 
 def iter_sequence_values(spec: SequenceSpec, stop: int, start: int = 0) -> Iterator[Fraction]:
-    """Exact values for n in [start, stop), amortized O(1) big-int steps."""
+    """Exact values for n in [start, stop), stepped from n = 0 with O(1)
+    big-int operations a step."""
     base = _KINDS[spec.kind].base(spec.r)
     for n, u in enumerate(_iter_scaled(spec, start, stop), start):
         yield Fraction(u, base**n)
@@ -554,16 +528,25 @@ def iter_valuations_with_bits(
     Steps the recurrence modulo p**P from n = 0 (see the comment block above
     ``_Kind``) and yields from ``start`` on.  An index whose residue leaves
     its valuation undetermined, and is not an exact zero, hands the rest of
-    the range, from that index or from ``start`` if it is later, to the exact
-    stepper ``_iter_scaled``."""
+    the range, from that index or from ``start`` if it is later, on: from
+    the constant precision to the decreasing one, stepped again from n = 0,
+    and from the decreasing one to the exact stepper ``_iter_scaled``."""
     if start < 0 or stop < start:
         raise ValueError(f"bad index range [{start}, {stop})")
+    # returned, not yielded from: delegating would pass every step through one more frame
+    return _modular_valuations(spec, p, start, stop, _KINDS[spec.kind].loss(spec.r, p, stop))
+
+
+def _modular_valuations(
+    spec: SequenceSpec, p: Prime, start: int, stop: int, loss: int | None
+) -> Iterator[tuple[PadicVal, int]]:
+    """``iter_valuations_with_bits`` at the constant precision of the loss
+    bound ``loss``, or at the decreasing one where ``loss`` is None."""
     kind = _KINDS[spec.kind]
     shift = vp_int(p, kind.base(spec.r)).value
     step = kind.step(spec.r)
     k = len(step(0)[1])
     window = [kind.direct(n, spec.r) for n in reversed(range(k))]  # U_{k-1}, ..., U_0
-    loss = kind.loss(spec.r, p, stop)
     fixed = loss is not None
     if fixed:  # constant precision; y % unsettled == 0 leaves vp(U_n) open
         settles = _MARGIN + max((_split(p, w)[0] for w in window if w), default=0)
@@ -595,7 +578,10 @@ def iter_valuations_with_bits(
             settled = v < (settles if fixed else precision)
         zero = not settled and all(z or not c for c, z in zip(a, zeros))
         if not (settled or zero):
-            yield from _exact_valuations(spec, p, shift, max(n, start), stop)
+            if fixed:  # vp(U_n) >= S: the budget, about N/(p-1) digits, may settle it
+                yield from _modular_valuations(spec, p, max(n, start), stop, None)
+            else:
+                yield from _exact_valuations(spec, p, shift, max(n, start), stop)
             return
         if n >= start:
             yield v - n * shift, y.bit_length()

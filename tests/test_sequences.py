@@ -367,9 +367,10 @@ JUMP_SPECS = [
 
 
 class TestJumpAhead:
-    """A range that starts past 1: ``_iter_scaled`` jumps there by a
-    companion-matrix product, ``iter_valuations_with_bits`` steps there from
-    n = 0; every value either yields must equal the direct summation."""
+    """A range that starts past 1: ``_iter_scaled`` and
+    ``iter_valuations_with_bits`` both step there from n = 0, with no jump,
+    and yield from the start; every value either yields must equal the
+    direct summation."""
 
     @pytest.mark.parametrize("start", [2, 3, 4, 242, 243, 244, 1000])
     @pytest.mark.parametrize("spec", JUMP_SPECS, ids=SequenceSpec.canonical)
@@ -512,6 +513,26 @@ class TestModularStepper:
             got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, p, 1005, 1001)]
             assert fallbacks == [1001], loss
             assert got == exact_valuations(spec, p, 1005, 1001) == [INF, 0, 0, INF]
+
+    def test_unsettled_constant_precision_restarts_on_budget(self, monkeypatch):
+        # legendre(1/s) with s**2 = 3 mod 11**40 has U_2 = 2*(3 - s**2), so
+        # vp_11(U_2) >= 40, above the 32 digits the constant precision settles;
+        # the stream restarts from n = 0 on the decreasing budget, which
+        # settles it, and never steps the exact integers
+        from legval import sequences
+
+        mod = 11**40
+        s = 5  # 5**2 = 3 mod 11, lifted by Newton's iteration
+        for _ in range(6):
+            s = (s - (s * s - 3) * pow(2 * s, -1, mod)) % mod
+        spec, p = SequenceSpec.legendre(Fraction(1, s)), Prime(11)
+        want = exact_valuations(spec, p, 300)
+        assert want[2] >= 40
+        monkeypatch.setattr(sequences, "_exact_valuations", no_fallback)
+        for start in (0, 2, 3, 150):
+            got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, p, 300, start)]
+            assert got == want[start:], start
+        assert sum(1 for _ in sequences.iter_valuations_with_bits(spec, p, 3000)) == 3000
 
     @pytest.mark.parametrize("p", PRIMES, ids=int)
     @pytest.mark.parametrize("spec", ZERO_SPECS, ids=SequenceSpec.canonical)
