@@ -28,17 +28,18 @@ only modulo p**P and up to a p-adic unit, so its steps work on small numbers
 and its answers stay exact (precision tracked as in X. Caruso, *Computations
 with p-adic numbers*, 2017).  P follows one of two policies in one loop.
 Where the comment above ``_Kind`` proves that the transition matrices of
-the recurrence lose at most L digits to index N (legendre and q at p not
-dividing 2b, cigler at p not dividing 2b - a, delannoy and dsum at every p),
-P is a constant, L plus a margin of a few dozen digits, and a table to N
-costs O(N) small steps.  Elsewhere (cube2k, and legendre, q and cigler at
-the other primes) P starts at a budget of every division by p the range
-makes, about N/(p-1) digits, and falls as the budget is spent.  Both steppers start from U_0, ...,
-U_{k-1} at n = 0, whatever index a range starts at, and yield from its
-start, so a range that ends at n costs n steps.  An index a valuation stream
-cannot settle hands the rest of its range on in one order: from the constant
-precision to the decreasing one, stepped again from n = 0, and from there to
-the exact ``_iter_scaled``.
+the recurrence lose at most L digits to index N (legendre and q unless p
+is odd and divides b, cigler unless p is odd and divides 2b - a, delannoy
+and dsum at every p), P is a constant, L plus a margin of a few dozen
+digits, and a table to N costs O(N) small steps.  Elsewhere (cube2k, and
+legendre, q and cigler at those odd primes) P starts at a budget of every
+division by p the range makes, about N/(p-1) digits, and falls as the
+budget is spent.  Both steppers start from U_0, ..., U_{k-1} at n = 0,
+whatever index a range starts at, and yield from its start, so a range
+that ends at n costs n steps.  An index a valuation stream cannot settle
+hands the rest of its range on in one order: from the constant precision to
+the decreasing one, stepped again from n = 0, and from there to the exact
+``_iter_scaled``.
 ``eval_sequence`` reads a record's summation and base.  The direct formulas
 stay the independent oracle the test suite checks the steppers against.
 """
@@ -347,24 +348,33 @@ def cube_sum_2k(n: int) -> int:
 #             when N is a power of p (the loss-bound test measures it);
 #             L = 2⌊log_p N⌋ holds that bound twice over, for a few digits
 #             of Q.
+#   legendre, q, cigler at p = 2 where 2 | c (c = 4b**2, or (2b-a)**2 with
+#             a even): C_j has vp growing with j, but no Casoratian is
+#             needed.  vp(A_1(n)) >= 1 and vp(A_2(n)) >= 2, so
+#             M(n) = 2 * Δ * M'(n) * Δ**-1 with Δ = diag(1, 1/2) and
+#             M'(n) = [[A_1(n)/2, A_2(n)/4], [n, 0]] integral.  A product of integral matrices is integral and
+#             Δ * X * Δ**-1 halves only the entry below the diagonal, so
+#             vp(T(j, n)) >= (n-j) - 1 - v_2(n!/j!) = s_2(n) - s_2(j) - 1 by
+#             Legendre's formula v_2(m!) = m - s_2(m), s_2 the binary digit
+#             sum.  With s_2(n) >= 1 and s_2(j) <= ⌊log_2 N⌋ + 1 for j < N,
+#             vp(T(j, n)) >= -(⌊log_2 N⌋ + 1), which L = 2⌊log_2 N⌋ covers
+#             for N >= 2; below that there is no step.
 #   dsum      the constant 1 and U solve it, both integral, and
 #             C_j = U_{j-1} - U_j = -C(2j-2, j-1), whose vp is the number of
 #             carries adding j-1 to itself in base p (Kummer), at most
 #             ⌊log_p(2j-2)⌋.  So L = ⌊log_p 2N⌋.
 #
 # Decreasing precision, everywhere else: cube2k (order 3, with no proof
-# yet), legendre and q where p | 2b, and cigler where p | 2b-a, where C_j has
-# vp growing with j.  P starts at _MARGIN + vp(D(k)...D(e-1)) + g*k, the vp
-# summed in one streaming pass ``_vp_steps``, as if each division lost its t
-# digits for good, and falls by t a step.  It also gains g a step when every
-# non-zero A_i(n) of the range has vp >= i*g: if W_i is known modulo
-# p**(P-(i-1)*g), every term of X is known modulo p**(P+g), and the shifted
-# slots keep that form.  U_n of legendre(3) at p = 2 is 2**n times an odd
-# number, and its valuations need the gain.  vp(y) < P settles vp(U_n).
+# yet), legendre and q where an odd p divides b, and cigler where an odd p
+# divides 2b-a, where C_j has vp growing with j.  P starts at
+# _MARGIN + vp(D(k)...D(e-1)), the vp summed in one streaming pass
+# ``_vp_steps``, as if each division lost its t digits for good, and falls
+# by t a step.  vp(y) < P settles vp(U_n).  It is also the restart of a
+# constant-precision stream that cannot settle an index: U_n of legendre(3)
+# at p = 2 is 2**n times an odd number, so the budget settles it only to
+# about N/2, and the exact stepper takes the rest.
 #
-# Every _REDUCE_EVERY steps the state is reduced modulo p**P; on the
-# decreasing policy P is first lowered to what is left of the budget plus
-# vp(y), where the gain left more.
+# Every _REDUCE_EVERY steps the state is reduced modulo p**P.
 # ---------------------------------------------------------------------------
 
 _Step = Callable[[int], tuple[int, tuple[int, ...]]]  # n -> (D(n), (A_1(n), ..., A_k(n)))
@@ -391,44 +401,45 @@ def _floor_log(p: int, n: int) -> int:
     return e
 
 
-def _rodrigues_step(r: Fraction) -> _Step:
-    a, bb = r.numerator, r.denominator**2
-    return lambda n: (n, (2 * a * (2 * n - 1), -4 * bb * (n - 1)))
+def _legendre_family(
+    direct: Callable[[int, Fraction | None], int],
+    base: Callable[[Fraction | None], int],
+    coefficients: Callable[[Fraction | None], tuple[int, int]],
+) -> _Kind:
+    """The record of n*U_n = α*(2n-1)*U_{n-1} - c*(n-1)*U_{n-2}, with
+    (α, c) = coefficients(r); its loss bound is proved above unless p is
+    odd and divides c."""
 
+    def step(r: Fraction | None) -> _Step:
+        alpha, c = coefficients(r)
+        return lambda n: (n, (alpha * (2 * n - 1), -c * (n - 1)))
 
-def _rodrigues_loss(r: Fraction, p: int, N: int) -> int | None:
-    return 2 * _floor_log(p, N) if 2 * r.denominator % p else None
+    def loss(r: Fraction | None, p: int, N: int) -> int | None:
+        return 2 * _floor_log(p, N) if p == 2 or coefficients(r)[1] % p else None
 
-
-def _cigler_step(r: Fraction) -> _Step:
-    a, c = r.numerator, (2 * r.denominator - r.numerator) ** 2
-    return lambda n: (n, (a * (2 * n - 1), -c * (n - 1)))
+    return _Kind(direct, base, step, loss)
 
 
 _KINDS = {
-    SequenceKind.LEGENDRE: _Kind(
-        direct=lambda n, r: _rodrigues_parts(n, r)[0],
-        base=lambda r: 2 * r.denominator,
-        step=_rodrigues_step,
-        loss=_rodrigues_loss,
+    SequenceKind.LEGENDRE: _legendre_family(
+        lambda n, r: _rodrigues_parts(n, r)[0],
+        lambda r: 2 * r.denominator,
+        lambda r: (2 * r.numerator, 4 * r.denominator**2),
     ),
-    SequenceKind.Q: _Kind(
-        direct=lambda n, r: _rodrigues_parts(n, r)[0],
-        base=lambda r: r.denominator,
-        step=_rodrigues_step,
-        loss=_rodrigues_loss,
+    SequenceKind.Q: _legendre_family(
+        lambda n, r: _rodrigues_parts(n, r)[0],
+        lambda r: r.denominator,
+        lambda r: (2 * r.numerator, 4 * r.denominator**2),
     ),
-    SequenceKind.CIGLER: _Kind(
-        direct=lambda n, r: _cigler_parts(n, r)[0],
-        base=lambda r: r.denominator,
-        step=_cigler_step,
-        loss=lambda r, p, N: 2 * _floor_log(p, N) if (2 * r.denominator - r.numerator) % p else None,
+    SequenceKind.CIGLER: _legendre_family(
+        lambda n, r: _cigler_parts(n, r)[0],
+        lambda r: r.denominator,
+        lambda r: (r.numerator, (2 * r.denominator - r.numerator) ** 2),
     ),
-    SequenceKind.DELANNOY: _Kind(
-        direct=lambda n, r: central_delannoy(n),
-        base=lambda r: 1,
-        step=lambda r: lambda n: (n, (3 * (2 * n - 1), -(n - 1))),
-        loss=lambda r, p, N: 2 * _floor_log(p, N),
+    SequenceKind.DELANNOY: _legendre_family(
+        lambda n, r: central_delannoy(n),
+        lambda r: 1,
+        lambda r: (3, 1),
     ),
     SequenceKind.DSUM: _Kind(
         direct=lambda n, r: partial_sum_central_binomial(n),
@@ -462,22 +473,9 @@ def _split(p: int, d: int) -> tuple[int, int]:
     return t, d
 
 
-def _vp_steps(step: _Step, p: int, lo: int, hi: int) -> tuple[int, int]:
-    """vp(D(lo)...D(hi-1)), and the largest g with vp(A_i(n)) >= i*g for
-    every n in [lo, hi) and every non-zero A_i(n) (0 if there is none), in
-    one streaming pass."""
-    total, rate = 0, None  # None until a non-zero A_i(n) is seen
-    for n in range(lo, hi):
-        d, a = step(n)
-        while not d % p:
-            d //= p
-            total += 1
-        if rate != 0:
-            for i, c in enumerate(a, 1):
-                if c and (rate is None or c % p ** (i * rate)):
-                    g = _split(p, c)[0] // i
-                    rate = g if rate is None else min(rate, g)
-    return total, rate or 0
+def _vp_steps(step: _Step, p: int, lo: int, hi: int) -> int:
+    """vp(D(lo)...D(hi-1)), in one streaming pass."""
+    return sum(_split(p, step(n)[0])[0] for n in range(lo, hi))
 
 
 def _iter_scaled(spec: SequenceSpec, start: int, stop: int) -> Iterator[int]:
@@ -552,9 +550,7 @@ def _modular_valuations(
         settles = _MARGIN + max((_split(p, w)[0] for w in window if w), default=0)
         precision, unsettled = loss + settles, p**settles
     else:  # decreasing precision, from the budget
-        budget, gain = _vp_steps(step, p, k, stop)
-        budget += _MARGIN
-        precision = budget + gain * k
+        precision = _MARGIN + _vp_steps(step, p, k, stop)
     for n, w in enumerate(window[::-1][start:stop], start):  # exact seeds, exact valuations
         yield vp_int(p, w) - n * shift, w.bit_length()
     zeros = [not w for w in window]  # the slots that hold an exact 0
@@ -569,8 +565,7 @@ def _modular_valuations(
             y, rem = divmod(y, p**t)
             assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
         if not fixed:
-            precision += gain - t
-            budget -= t
+            precision -= t
         if fixed and n < start:  # a skipped index needs only whether it settles
             settled = y % unsettled
         else:
@@ -589,12 +584,8 @@ def _modular_valuations(
         zeros = [zero] + zeros[:-1]
         owed = [1] + [u * f for f in owed[:-1]]
         if not n % _REDUCE_EVERY:
-            if not (fixed or zero):
-                precision = min(precision, budget + v.value)
-                if precision < reduced:
-                    mod //= p ** (reduced - precision)
-                else:
-                    mod *= p ** (precision - reduced)
+            if precision < reduced:
+                mod //= p ** (reduced - precision)
                 reduced = precision
             window = [w % mod for w in window]
 

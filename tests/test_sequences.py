@@ -401,10 +401,11 @@ class TestJumpAhead:
 
 
 MODULAR_SPECS = [
-    SequenceSpec.legendre(3),  # at p = 2, vp(U_n) = n: the precision gains one digit a step
-    SequenceSpec.legendre(2),  # at p = 2, vp(A_1(n)) = 2 and vp(A_2(n)) >= 2: the gain is 1, not 2
+    SequenceSpec.legendre(3),  # at p = 2, vp(U_n) = n: past n = 32 the stream restarts on the budget
+    SequenceSpec.legendre(2),  # at p = 2, vp(A_1(n)) = 2 and vp(A_2(n)) >= 2
     SequenceSpec.q(Fraction(-7, 2)),
     SequenceSpec.cigler(Fraction(5, 3)),
+    SequenceSpec.cigler(Fraction(4, 3)),  # 2b - a = 2: at p = 2 only the p = 2 proof covers it
     SequenceSpec.delannoy(),
     SequenceSpec.dsum(),
     SequenceSpec.cube2k(),
@@ -425,6 +426,11 @@ def exact_valuations(spec, p, stop, start=0):
 def no_fallback(spec, p, shift, start, stop):
     """Stands in for ``sequences._exact_valuations`` where none may run."""
     raise AssertionError(f"fallback to the exact stepper at {start}")
+
+
+def no_budget(step, p, lo, hi):
+    """Stands in for ``sequences._vp_steps`` where no budget may be summed."""
+    raise AssertionError("decreasing precision from the budget")
 
 
 def chunk_starts(p):
@@ -593,8 +599,13 @@ class TestModularStepper:
                 kept = vp_of[math.gcd(mod, *chain.from_iterable(rows))]
                 lost = max(lost, owed[n + 1] - owed[j + 1] - kept)
         assert lost <= L
-        if spec.kind is not SequenceKind.DSUM:
-            assert lost == e  # the argument's bound ⌊log_p N⌋, attained at N = p**e
+        if spec.kind is SequenceKind.DSUM:
+            return
+        c = -steps[2][1][1]  # A_2(2) = -c of n*U_n = α*(2n-1)*U_{n-1} - c*(n-1)*U_{n-2}
+        if c % p:
+            assert lost == e  # the Casoratian bound ⌊log_p N⌋, attained at N = p**e
+        else:
+            assert lost <= e + 1  # 2 | c: the p = 2 bound ⌊log_2 N⌋ + 1
 
     @pytest.mark.parametrize("p, N", [(3, 3**9 + 10), (5, 5**6 + 10)])
     def test_tables_at_scale_match_digit_formula(self, p, N):
@@ -611,16 +622,16 @@ class TestModularStepper:
         from legval.sequences import _vp_steps
 
         two = Prime(2)
-        # vp(D) over n = 2..5 is 2 + 1 + 3 + 1; vp(A_1) = 2 allows g = 2,
-        # vp(A_2) = 2 only g = 1
-        assert _vp_steps(lambda n: (2 * n, (4, 4)), two, 2, 6) == (7, 1)
-        assert _vp_steps(lambda n: (1, (0, 16)), two, 2, 6) == (0, 2)  # A_1 = 0 bounds nothing
-        assert _vp_steps(lambda n: (1, (0, 0)), two, 2, 6) == (0, 0)
-        assert _vp_steps(lambda n: (1, (3, 16)), two, 2, 2) == (0, 0)  # no steps
+        # vp(D) over n = 2..5 is 2 + 1 + 3 + 1; the A_i play no part
+        assert _vp_steps(lambda n: (2 * n, (4, 4)), two, 2, 6) == 7
+        assert _vp_steps(lambda n: (n, (1, 1)), Prime(3), 1, 10) == 4  # v_3(9!)
+        assert _vp_steps(lambda n: (2 * n, (3, 16)), two, 2, 2) == 0  # no steps
 
-    def test_gain_is_not_overstated(self, monkeypatch):
-        # U_n = 4*U_{n-1} + 4*U_{n-2} from 1, 2 has vp_2(U_n) = n: precision
-        # grows one digit a step, as the valuations do, and not two.
+    def test_growing_valuation_ends_exact(self, monkeypatch):
+        # U_n = 4*U_{n-1} + 4*U_{n-2} from 1, 2 has vp_2(U_n) = n, which
+        # outgrows any precision the budget holds (here none: D(n) = 1 and no
+        # margin), so the stream hands its range, from n = 2 or from its
+        # start, to the exact stepper, and every valuation stays exact.
         from legval import sequences
 
         kinds = dict(sequences._KINDS)
@@ -628,8 +639,38 @@ class TestModularStepper:
             direct=lambda n, r: (1, 2)[n], base=lambda r: 1, step=lambda r: lambda n: (1, (4, 4)))
         monkeypatch.setattr(sequences, "_KINDS", kinds)
         monkeypatch.setattr(sequences, "_MARGIN", 0)
+        fallbacks = []
+        exact = sequences._exact_valuations
+
+        def counted(spec, p, shift, start, stop):
+            fallbacks.append(start)
+            return exact(spec, p, shift, start, stop)
+
+        monkeypatch.setattr(sequences, "_exact_valuations", counted)
         spec, two = SequenceSpec.delannoy(), Prime(2)
         assert exact_valuations(spec, two, 60) == list(range(60))
         for start in (0, 1, 2, 7, 8, 9, 31, 32, 33):
+            fallbacks.clear()
             got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, two, 60, start)]
             assert got == list(range(start, 60)), start
+            assert fallbacks == [max(2, start)], start
+
+    @pytest.mark.parametrize("spec", [SequenceSpec.legendre(2), SequenceSpec.q(Fraction(4, 3)),
+                                      SequenceSpec.cigler(Fraction(4, 3))], ids=SequenceSpec.canonical)
+    def test_two_adic_streams_stay_at_constant_precision(self, spec, monkeypatch):
+        # 2 divides c in n*U_n = α*(2n-1)*U_{n-1} - c*(n-1)*U_{n-2} here, and
+        # the p = 2 proof above ``_Kind`` bounds the loss: the stream neither
+        # sums the budget nor steps the exact integers, past 2**12 as well
+        from legval import sequences
+        from legval.predictors import predict_vp_legendre_at_2
+
+        two, N = Prime(2), 2**12 + 10
+        if spec.kind is SequenceKind.LEGENDRE:  # Theorem 5's formula, which shares no code with the stepper
+            want = [predict_vp_legendre_at_2(n) for n in range(N)]
+        else:
+            want = exact_valuations(spec, two, N)
+        monkeypatch.setattr(sequences, "_vp_steps", no_budget)
+        monkeypatch.setattr(sequences, "_exact_valuations", no_fallback)
+        for start in (0, 1, 2, 2**12 - 1, 2**12, 2**12 + 1):
+            got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, two, N, start)]
+            assert got == want[start:], start
