@@ -26,20 +26,18 @@ reads it, and it is the fallback and the test oracle of the other.
 ``iter_valuations_with_bits``, behind every valuation stream, carries U_n
 only modulo p**P and up to a p-adic unit, so its steps work on small numbers
 and its answers stay exact (precision tracked as in X. Caruso, *Computations
-with p-adic numbers*, 2017).  P follows one of two policies in one loop.
-Where the comment above ``_Kind`` proves that the transition matrices of
-the recurrence lose at most L digits to index N (legendre and q unless p
-is odd and divides b, cigler unless p is odd and divides 2b - a, delannoy
-and dsum at every p), P is a constant, L plus a margin of a few dozen
-digits, and a table to N costs O(N) small steps.  Elsewhere (cube2k, and
-legendre, q and cigler at those odd primes) P starts at a budget of every
-division by p the range makes, about N/(p-1) digits, and falls as the
-budget is spent.  Both steppers start from U_0, ..., U_{k-1} at n = 0,
-whatever index a range starts at, and yield from its start, so a range
-that ends at n costs n steps.  An index a valuation stream cannot settle
-hands the rest of its range on in one order: from the constant precision to
-the decreasing one, stepped again from n = 0, and from there to the exact
-``_iter_scaled``.
+with p-adic numbers*, 2017).  P is a constant, L plus a margin of a few
+dozen digits, where L bounds the digits the transition matrices of the
+recurrence lose to index N: a bound the comment above ``_Kind`` proves
+(O(log N) for legendre and q unless p is odd and divides b, cigler unless
+p is odd and divides 2b - a, delannoy and dsum at every p; about N/2 for
+cube2k at p = 3), and elsewhere the trivial bound, every division by p the
+range makes, O(N) digits.  Both steppers start from U_0, ..., U_{k-1} at
+n = 0, whatever index a range starts at, and yield from its start, so a
+range that ends at n costs n steps.  An index a valuation stream cannot settle
+hands the rest of its range on in one order: to the same stepper with the
+margin raised by the trivial bound, stepped again from n = 0, and from
+there to the exact ``_iter_scaled``.
 ``eval_sequence`` reads a record's summation and base.  The direct formulas
 stay the independent oracle the test suite checks the steppers against.
 """
@@ -296,12 +294,12 @@ def cube_sum_2k(n: int) -> int:
 # A valuation needs U_n only modulo a power of p above vp(U_n); this is
 # fixed-precision p-adic arithmetic with its precision tracked by hand
 # (Caruso, "Computations with p-adic numbers", 2017).  The state of
-# ``iter_valuations_with_bits`` is W_i = λ_i * U_{n-i} modulo p**P for p-adic
+# ``iter_valuations_with_bits`` is W_i = λ_i * U_{n-i} modulo p**Q for p-adic
 # units λ_i, plus small ints f_i with f_i * λ_i = λ_1 (f_1 = 1).  With
 # D(n) = p**t * u and p not dividing u,
-#     X = A_1(n)*f_1*W_1 + ... + A_k(n)*f_k*W_k = λ_1 * D(n) * U_n  (mod p**P)
+#     X = A_1(n)*f_1*W_1 + ... + A_k(n)*f_k*W_k = λ_1 * D(n) * U_n  (mod p**Q)
 # is an exact multiple of p**t, and y = X / p**t = λ_1 * u * U_n modulo
-# p**(P-t).  y is the next W_1, with unit λ_1 * u, so each f_i takes the
+# p**(Q-t).  y is the next W_1, with unit λ_1 * u, so each f_i takes the
 # factor u; no inverse and no big multiply beyond the products in X.  Then
 # vp(U_n) = vp(y) when vp(y) is below the precision y is known to.
 # Otherwise (y = 0, as when U_n = 0) the valuation is undetermined.
@@ -311,18 +309,16 @@ def cube_sum_2k(n: int) -> int:
 # Such a step is exactly 0, and so is its residue, with no error to carry;
 # it yields inf and is flagged.  U_n of legendre(0) and q(0) is 0 at every
 # odd n this way, since A_1(n) = 2a*(2n-1) = 0.  Any other undetermined
-# index hands the rest of the range on: from the constant precision below to
-# the decreasing one, stepped again from n = 0, and from the decreasing one
+# index hands the rest of the range on: once to the same stepper, stepped
+# again from n = 0 with S below raised by the trivial bound, and from there
 # to the exact ``_iter_scaled``, so every answer is exact, never probable.
 #
-# The precision of a valuation stream follows one of two policies, in one
-# loop.
-#
-# Constant precision, for the (kind, p) pairs whose ``loss`` gives a bound.
-# Write T(j, n) = M(n)...M(j+1) / (D(j+1)...D(n)) for the map from the state
-# at j to the state at n.  Reducing the state modulo p**Q after step j adds a
-# vector of multiples of p**Q, which reaches step n multiplied by T(j, n), up
-# to the units λ_i; errors enter nowhere else, and the map is linear.  So
+# Q is one constant for every stream, and every _REDUCE_EVERY steps the
+# state is reduced modulo p**Q.  Write T(j, n) = M(n)...M(j+1) /
+# (D(j+1)...D(n)) for the map from the state at j to the state at n.  A
+# reduction after step j adds a vector of multiples of p**Q, which reaches
+# step n multiplied by T(j, n), up to the units λ_i; errors enter nowhere
+# else, and the map is linear.  So
 # if vp(T(j, n)) >= -L for k-1 <= j < n < e, every error is a multiple of
 # p**(Q-L) (the lattice view of precision: Caruso, Roe & Vaccon, "Tracking
 # p-adic precision", LMS J. Comput. Math. 17A, 2014).  With Q = L + S every
@@ -330,7 +326,7 @@ def cube_sum_2k(n: int) -> int:
 # settles vp(U_n).  S is _MARGIN plus the largest valuation of a seed, since
 # U_n of legendre, q and cigler at odd n is a multiple of U_1 = 2a or a.
 #
-# The bounds, for order 2: if U and Z solve the recurrence and
+# The proven bounds.  For order 2, if U and Z solve the recurrence and
 # C_n = U_n*Z_{n-1} - Z_n*U_{n-1} != 0, then with Φ_n = [[U_n, Z_n],
 # [U_{n-1}, Z_{n-1}]], T(j, n) = Φ_n Φ_j^-1, whose entries are
 # (U_a*Z_b - Z_a*U_b) / C_j for a in {n, n-1} and b in {j, j-1}.
@@ -352,8 +348,9 @@ def cube_sum_2k(n: int) -> int:
 #             a even): C_j has vp growing with j, but no Casoratian is
 #             needed.  vp(A_1(n)) >= 1 and vp(A_2(n)) >= 2, so
 #             M(n) = 2 * Δ * M'(n) * Δ**-1 with Δ = diag(1, 1/2) and
-#             M'(n) = [[A_1(n)/2, A_2(n)/4], [n, 0]] integral.  A product of integral matrices is integral and
-#             Δ * X * Δ**-1 halves only the entry below the diagonal, so
+#             M'(n) = [[A_1(n)/2, A_2(n)/4], [n, 0]] integral.  Products of
+#             those are integral, Δ * X * Δ**-1 halves only the entry below
+#             the diagonal, so
 #             vp(T(j, n)) >= (n-j) - 1 - v_2(n!/j!) = s_2(n) - s_2(j) - 1 by
 #             Legendre's formula v_2(m!) = m - s_2(m), s_2 the binary digit
 #             sum.  With s_2(n) >= 1 and s_2(j) <= ⌊log_2 N⌋ + 1 for j < N,
@@ -363,24 +360,31 @@ def cube_sum_2k(n: int) -> int:
 #             C_j = U_{j-1} - U_j = -C(2j-2, j-1), whose vp is the number of
 #             carries adding j-1 to itself in base p (Kummer), at most
 #             ⌊log_p(2j-2)⌋.  So L = ⌊log_p 2N⌋.
+#   cube2k at p = 3: vp(A_1(n)) >= 1, vp(A_2(n)) >= 1 and vp(A_3(n)) >= 3,
+#             so M(n) = 3**(1/2) * Δ * M'(n) * Δ**-1 with
+#             Δ = diag(3, 3**(1/2), 1) and M'(n) = [[A_1(n)/3**(1/2),
+#             A_2(n)/3, A_3(n)/3**(3/2)], [D(n), 0, 0], [0, D(n), 0]]
+#             integral over Z_3[3**(1/2)].  Δ * X * Δ**-1 divides no entry
+#             by more than 3, so the integer matrix M(n)...M(j+1) has
+#             vp >= ⌈(n-j)/2⌉ - 1.  D(m) = m**2 * (3m-5) with 3 ∤ 3m-5, so
+#             vp(D(j+1)...D(n)) = 2*v_3(n!/j!) = (n-j) - s_3(n) + s_3(j) by
+#             Legendre's formula, s_3 the ternary digit sum.  With
+#             s_3(n) >= 1 and s_3(j) <= 2⌊log_3 N⌋ + 2 for j < N,
+#             vp(T(j, n)) >= -(⌊N/2⌋ + 2⌊log_3 N⌋ + 2) = -L, about half the
+#             trivial bound.
 #
-# Decreasing precision, everywhere else: cube2k (order 3, with no proof
-# yet), legendre and q where an odd p divides b, and cigler where an odd p
-# divides 2b-a, where C_j has vp growing with j.  P starts at
-# _MARGIN + vp(D(k)...D(e-1)), the vp summed in one streaming pass
-# ``_vp_steps``, as if each division lost its t digits for good, and falls
-# by t a step.  vp(y) < P settles vp(U_n).  It is also the restart of a
-# constant-precision stream that cannot settle an index: U_n of legendre(3)
-# at p = 2 is 2**n times an odd number, so the budget settles it only to
-# about N/2, and the exact stepper takes the rest.
-#
-# Every _REDUCE_EVERY steps the state is reduced modulo p**P.
+# Elsewhere L is the trivial bound vp(D(k)...D(e-1)), summed in one pass by
+# ``_vp_steps``: M(n) is integral, so vp(T(j, n)) >= -vp(D(j+1)...D(n)).
+# That is cube2k at p != 3, legendre and q where an odd p divides b, and
+# cigler where an odd p divides 2b-a, where C_j has vp growing with j.  The
+# restart raises S by the same sum: U_n of legendre(3) at p = 2 is 2**n times
+# an odd number, and v_2((e-1)!) lifts S above e - 1.
 # ---------------------------------------------------------------------------
 
 _Step = Callable[[int], tuple[int, tuple[int, ...]]]  # n -> (D(n), (A_1(n), ..., A_k(n)))
 
-_MARGIN = 32  # p-adic digits kept beyond the loss bound or budget; any value is exact
-_REDUCE_EVERY = 8  # steps between reductions of the state modulo p**precision
+_MARGIN = 32  # p-adic digits kept beyond the loss bound; any value is exact
+_REDUCE_EVERY = 8  # steps between reductions of the state modulo p**Q
 
 
 @dataclass(frozen=True)
@@ -388,7 +392,7 @@ class _Kind:
     direct: Callable[[int, Fraction | None], int]
     base: Callable[[Fraction | None], int]
     step: Callable[[Fraction | None], _Step]
-    # (r, p, N) -> the L proved above, or None where there is no proof
+    # (r, p, N) -> the L proved above, or None for the trivial bound
     loss: Callable[[Fraction | None, int, int], int | None] = lambda r, p, N: None
 
 
@@ -453,6 +457,7 @@ _KINDS = {
         step=lambda r: lambda n: (n * n * (3 * n - 5), (3 * (9 * n**3 - 24 * n**2 + 17 * n - 4),
                                                         3 * (3 * n - 4) * (9 * n**2 - 21 * n + 11),
                                                         27 * (n - 2) ** 2 * (3 * n - 2))),
+        loss=lambda r, p, N: N // 2 + 2 * _floor_log(3, N) + 2 if p == 3 else None,
     ),
 }
 
@@ -523,39 +528,38 @@ def iter_valuations_with_bits(
     the bit length of the integer the stepper carried: a residue modulo a
     power of p, or U_n itself after a fallback; 0 for an infinite valuation.
 
-    Steps the recurrence modulo p**P from n = 0 (see the comment block above
-    ``_Kind``) and yields from ``start`` on.  An index whose residue leaves
-    its valuation undetermined, and is not an exact zero, hands the rest of
-    the range, from that index or from ``start`` if it is later, on: from
-    the constant precision to the decreasing one, stepped again from n = 0,
-    and from the decreasing one to the exact stepper ``_iter_scaled``."""
+    Steps the recurrence modulo a constant p**Q from n = 0 (see the comment
+    block above ``_Kind``) and yields from ``start`` on.  An index whose
+    residue leaves its valuation undetermined, and is not an exact zero,
+    hands the rest of the range, from that index or from ``start`` if it is
+    later, on: once to the same stepper with its margin raised by the trivial
+    bound, stepped again from n = 0, and from there to the exact stepper
+    ``_iter_scaled``."""
     if start < 0 or stop < start:
         raise ValueError(f"bad index range [{start}, {stop})")
     # returned, not yielded from: delegating would pass every step through one more frame
-    return _modular_valuations(spec, p, start, stop, _KINDS[spec.kind].loss(spec.r, p, stop))
+    return _modular_valuations(spec, p, start, stop)
 
 
 def _modular_valuations(
-    spec: SequenceSpec, p: Prime, start: int, stop: int, loss: int | None
+    spec: SequenceSpec, p: Prime, start: int, stop: int, raised: int | None = None
 ) -> Iterator[tuple[PadicVal, int]]:
-    """``iter_valuations_with_bits`` at the constant precision of the loss
-    bound ``loss``, or at the decreasing one where ``loss`` is None."""
+    """``iter_valuations_with_bits`` at the constant precision p**(L+S), with
+    S raised by ``raised`` digits on the one restart; None on the first pass."""
     kind = _KINDS[spec.kind]
     shift = vp_int(p, kind.base(spec.r)).value
     step = kind.step(spec.r)
     k = len(step(0)[1])
     window = [kind.direct(n, spec.r) for n in reversed(range(k))]  # U_{k-1}, ..., U_0
-    fixed = loss is not None
-    if fixed:  # constant precision; y % unsettled == 0 leaves vp(U_n) open
-        settles = _MARGIN + max((_split(p, w)[0] for w in window if w), default=0)
-        precision, unsettled = loss + settles, p**settles
-    else:  # decreasing precision, from the budget
-        precision = _MARGIN + _vp_steps(step, p, k, stop)
+    loss = kind.loss(spec.r, p, stop)
+    if loss is None:  # the trivial bound
+        loss = _vp_steps(step, p, k, stop)
+    settles = _MARGIN + (raised or 0) + max((_split(p, w)[0] for w in window if w), default=0)
+    mod, unsettled = p ** (loss + settles), p**settles  # y % unsettled == 0 leaves vp(U_n) open
     for n, w in enumerate(window[::-1][start:stop], start):  # exact seeds, exact valuations
         yield vp_int(p, w) - n * shift, w.bit_length()
     zeros = [not w for w in window]  # the slots that hold an exact 0
     owed = [1] * k  # small units with owed[i] * λ_i = λ_0; window[i] = λ_i * U_{n-1-i}
-    mod, reduced = p**precision, precision  # mod = p**reduced, kept without a fresh power
     for n in range(k, stop):
         d, a = step(n)
         t, u = _split(p, d)
@@ -564,17 +568,15 @@ def _modular_valuations(
         if t:
             y, rem = divmod(y, p**t)
             assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
-        if not fixed:
-            precision -= t
-        if fixed and n < start:  # a skipped index needs only whether it settles
+        if n < start:  # a skipped index needs only whether it settles
             settled = y % unsettled
         else:
             v = vp_int(p, y)
-            settled = v < (settles if fixed else precision)
+            settled = v < settles
         zero = not settled and all(z or not c for c, z in zip(a, zeros))
         if not (settled or zero):
-            if fixed:  # vp(U_n) >= S: the budget, about N/(p-1) digits, may settle it
-                yield from _modular_valuations(spec, p, max(n, start), stop, None)
+            if raised is None:  # vp(U_n) >= S: S raised by the trivial bound may settle it
+                yield from _modular_valuations(spec, p, max(n, start), stop, _vp_steps(step, p, k, stop))
             else:
                 yield from _exact_valuations(spec, p, shift, max(n, start), stop)
             return
@@ -584,9 +586,6 @@ def _modular_valuations(
         zeros = [zero] + zeros[:-1]
         owed = [1] + [u * f for f in owed[:-1]]
         if not n % _REDUCE_EVERY:
-            if precision < reduced:
-                mod //= p ** (reduced - precision)
-                reduced = precision
             window = [w % mod for w in window]
 
 

@@ -401,11 +401,13 @@ class TestJumpAhead:
 
 
 MODULAR_SPECS = [
-    SequenceSpec.legendre(3),  # at p = 2, vp(U_n) = n: past n = 32 the stream restarts on the budget
+    SequenceSpec.legendre(3),  # at p = 2, vp(U_n) = n: past n = 32 the stream restarts with a raised margin
     SequenceSpec.legendre(2),  # at p = 2, vp(A_1(n)) = 2 and vp(A_2(n)) >= 2
     SequenceSpec.q(Fraction(-7, 2)),
     SequenceSpec.cigler(Fraction(5, 3)),
     SequenceSpec.cigler(Fraction(4, 3)),  # 2b - a = 2: at p = 2 only the p = 2 proof covers it
+    SequenceSpec.legendre(Fraction(1, 3)),  # 3 | b: the trivial bound at p = 3
+    SequenceSpec.cigler(Fraction(1, 3)),  # 2b - a = 5: the trivial bound at p = 5
     SequenceSpec.delannoy(),
     SequenceSpec.dsum(),
     SequenceSpec.cube2k(),
@@ -429,8 +431,9 @@ def no_fallback(spec, p, shift, start, stop):
 
 
 def no_budget(step, p, lo, hi):
-    """Stands in for ``sequences._vp_steps`` where no budget may be summed."""
-    raise AssertionError("decreasing precision from the budget")
+    """Stands in for ``sequences._vp_steps`` where neither the trivial bound
+    nor a restart may be summed."""
+    raise AssertionError("trivial bound or restart summed")
 
 
 def chunk_starts(p):
@@ -471,19 +474,26 @@ class TestModularStepper:
 
     @pytest.mark.parametrize("spec", MODULAR_SPECS + ZERO_SPECS, ids=SequenceSpec.canonical)
     def test_no_margin_falls_back_exactly(self, spec, monkeypatch):
-        # With no digits beyond the budget or the loss bound, indices are
-        # left undetermined, so the fallback runs over and over.
+        # With no digits beyond the loss bound, indices are left
+        # undetermined, so the restart with a raised margin, and after it the
+        # exact fallback, run over and over.
         from legval import sequences
 
         fallbacks = []
-        exact = sequences._exact_valuations
+        exact, modular = sequences._exact_valuations, sequences._modular_valuations
 
         def counted(spec, p, shift, start, stop):
             fallbacks.append(start)
             return exact(spec, p, shift, start, stop)
 
+        def restarts_counted(spec, p, start, stop, raised=None):
+            if raised is not None:
+                fallbacks.append(start)
+            return modular(spec, p, start, stop, raised)
+
         monkeypatch.setattr(sequences, "_MARGIN", 0)
         monkeypatch.setattr(sequences, "_exact_valuations", counted)
+        monkeypatch.setattr(sequences, "_modular_valuations", restarts_counted)
         for p in PRIMES:
             starts = chunk_starts(p)
             want = exact_valuations(spec, p, starts[-1] + 300)
@@ -497,7 +507,7 @@ class TestModularStepper:
         # U_n = U_{n-1} - U_{n-2} from 1, 1 is 0 at n = 2, 5, 8, ..., never as
         # an exact zero, so the residue at n = 2 falls back; the exact stepper
         # must start at 1001, not at 2.  Its transition matrices are integral,
-        # so L = 0 is a valid bound, and both precision policies are tried.
+        # so L = 0 is a valid bound, given by ``loss`` and as the trivial one.
         from legval import sequences
 
         fallbacks = []
@@ -520,11 +530,12 @@ class TestModularStepper:
             assert fallbacks == [1001], loss
             assert got == exact_valuations(spec, p, 1005, 1001) == [INF, 0, 0, INF]
 
-    def test_unsettled_constant_precision_restarts_on_budget(self, monkeypatch):
+    def test_unsettled_index_restarts_with_raised_margin(self, monkeypatch):
         # legendre(1/s) with s**2 = 3 mod 11**40 has U_2 = 2*(3 - s**2), so
-        # vp_11(U_2) >= 40, above the 32 digits the constant precision settles;
-        # the stream restarts from n = 0 on the decreasing budget, which
-        # settles it, and never steps the exact integers
+        # vp_11(U_2) >= 40, above the 32 digits the first pass settles; the
+        # stream restarts from n = 0 at the same constant precision with the
+        # margin raised by the trivial bound, which settles it, and never
+        # steps the exact integers
         from legval import sequences
 
         mod = 11**40
@@ -572,17 +583,19 @@ class TestModularStepper:
         # T(j, n) = M(n)...M(j+1) / (D(j+1)...D(n)).  Step the integer
         # companion products from every origin j, modulo p**K with K above
         # every vp(D(j+1)...D(n)), so a residue 0 means enough valuation.
+        # Where no bound is proven, L is the trivial one the stepper sums.
         from legval.arith import vp_int
-        from legval.sequences import _KINDS
+        from legval.sequences import _KINDS, _vp_steps
 
         kind = _KINDS[spec.kind]
         e = 5 if p <= 3 else 3
         N = p**e
-        L = kind.loss(spec.r, p, N + 1)
-        if L is None:
-            pytest.skip("no proven bound: decreasing precision")
         step = kind.step(spec.r)
         k = len(step(0)[1])
+        L = kind.loss(spec.r, p, N + 1)
+        proven = L is not None
+        if not proven:
+            L = _vp_steps(step, p, k, N + 1)
         steps = [step(n) for n in range(N + 1)]
         owed = [0] * (k + 1)  # owed[n] = vp(D(k)...D(n-1))
         for d, _a in steps[k:]:
@@ -599,7 +612,7 @@ class TestModularStepper:
                 kept = vp_of[math.gcd(mod, *chain.from_iterable(rows))]
                 lost = max(lost, owed[n + 1] - owed[j + 1] - kept)
         assert lost <= L
-        if spec.kind is SequenceKind.DSUM:
+        if not proven or spec.kind in (SequenceKind.DSUM, SequenceKind.CUBE2K):
             return
         c = -steps[2][1][1]  # A_2(2) = -c of n*U_n = α*(2n-1)*U_{n-1} - c*(n-1)*U_{n-2}
         if c % p:
@@ -629,7 +642,7 @@ class TestModularStepper:
 
     def test_growing_valuation_ends_exact(self, monkeypatch):
         # U_n = 4*U_{n-1} + 4*U_{n-2} from 1, 2 has vp_2(U_n) = n, which
-        # outgrows any precision the budget holds (here none: D(n) = 1 and no
+        # outgrows any precision the restart holds (here none: D(n) = 1 and no
         # margin), so the stream hands its range, from n = 2 or from its
         # start, to the exact stepper, and every valuation stays exact.
         from legval import sequences
@@ -660,7 +673,7 @@ class TestModularStepper:
     def test_two_adic_streams_stay_at_constant_precision(self, spec, monkeypatch):
         # 2 divides c in n*U_n = α*(2n-1)*U_{n-1} - c*(n-1)*U_{n-2} here, and
         # the p = 2 proof above ``_Kind`` bounds the loss: the stream neither
-        # sums the budget nor steps the exact integers, past 2**12 as well
+        # sums the trivial bound nor steps the exact integers, past 2**12 as well
         from legval import sequences
         from legval.predictors import predict_vp_legendre_at_2
 
@@ -672,5 +685,34 @@ class TestModularStepper:
         monkeypatch.setattr(sequences, "_vp_steps", no_budget)
         monkeypatch.setattr(sequences, "_exact_valuations", no_fallback)
         for start in (0, 1, 2, 2**12 - 1, 2**12, 2**12 + 1):
+            got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, two, N, start)]
+            assert got == want[start:], start
+
+    def test_cube2k_at_three_stays_at_constant_precision(self, monkeypatch):
+        # the p = 3 proof above ``_Kind`` bounds the loss of cube2k, the
+        # stream conj2 reads: it neither sums the trivial bound nor steps the
+        # exact integers, past 3**7 as well
+        from legval import sequences
+
+        spec, three, N = SequenceSpec.cube2k(), Prime(3), 3**7 + 10
+        want = exact_valuations(spec, three, N)
+        monkeypatch.setattr(sequences, "_vp_steps", no_budget)
+        monkeypatch.setattr(sequences, "_exact_valuations", no_fallback)
+        for start in (0, 1, 2, 3**7 - 1, 3**7, 3**7 + 1):
+            got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, three, N, start)]
+            assert got == want[start:], start
+
+    @pytest.mark.parametrize("spec", [SequenceSpec.legendre(3), SequenceSpec.q(3)], ids=SequenceSpec.canonical)
+    def test_odd_point_streams_at_two_step_no_exact_integer(self, spec, monkeypatch):
+        # a and b odd: U_n is 2**n times the odd central Delannoy number
+        # P_n(3), past the first pass's margin from n = 33 on, and the
+        # restart's margin, raised by v_2((N-1)!), settles every index
+        from legval import sequences
+
+        two, N = Prime(2), 2**10 + 10
+        want = exact_valuations(spec, two, N)
+        assert want == ([0] * N if spec.kind is SequenceKind.LEGENDRE else list(range(N)))
+        monkeypatch.setattr(sequences, "_exact_valuations", no_fallback)
+        for start in (0, 1, 2, 2**10 - 1, 2**10, 2**10 + 1):
             got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, two, N, start)]
             assert got == want[start:], start
