@@ -213,8 +213,8 @@ def _block(p: int) -> tuple[int, int]:
     return pk, k
 
 
-def vp_int(p: Prime, n: int) -> PadicVal:
-    """Largest e with p**e dividing |n|; infinity for n = 0.
+def _vp_nonzero(p: int, n: int) -> int:
+    """Largest e with p**e dividing |n|, as a plain int; n must not be 0.
 
     Each pass over n divides by a whole block p**K that fits in one machine
     digit, so a big n costs one pass per K units of valuation plus one (the
@@ -222,10 +222,8 @@ def vp_int(p: Prime, n: int) -> PadicVal:
     remainder r is below p**K with vp(r) = vp(n), and is finished as a small
     int.  For p = 2 the lowest set bit gives the answer directly.
     """
-    if n == 0:
-        return INF
     if p == 2:
-        return PadicVal((n & -n).bit_length() - 1)
+        return (n & -n).bit_length() - 1
     try:
         pk, k = _BLOCKS[p]
     except KeyError:
@@ -239,7 +237,12 @@ def vp_int(p: Prime, n: int) -> PadicVal:
     while not r % p:
         r //= p
         v += 1
-    return PadicVal(v)
+    return v
+
+
+def vp_int(p: Prime, n: int) -> PadicVal:
+    """Largest e with p**e dividing |n|; infinity for n = 0."""
+    return INF if n == 0 else PadicVal(_vp_nonzero(p, n))
 
 
 def vp_rat(p: Prime, r: Fraction | int) -> PadicVal:

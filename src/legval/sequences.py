@@ -53,7 +53,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator
 
-from .arith import PadicVal, Prime, vp_int
+from .arith import INF, PadicVal, Prime, _vp_nonzero, vp_int
 
 __all__ = [
     "SequenceKind",
@@ -294,15 +294,17 @@ def cube_sum_2k(n: int) -> int:
 # A valuation needs U_n only modulo a power of p above vp(U_n); this is
 # fixed-precision p-adic arithmetic with its precision tracked by hand
 # (Caruso, "Computations with p-adic numbers", 2017).  The state of
-# ``iter_valuations_with_bits`` is W_i = λ_i * U_{n-i} modulo p**Q for p-adic
-# units λ_i, plus small ints f_i with f_i * λ_i = λ_1 (f_1 = 1).  With
-# D(n) = p**t * u and p not dividing u,
-#     X = A_1(n)*f_1*W_1 + ... + A_k(n)*f_k*W_k = λ_1 * D(n) * U_n  (mod p**Q)
-# is an exact multiple of p**t, and y = X / p**t = λ_1 * u * U_n modulo
-# p**(Q-t).  y is the next W_1, with unit λ_1 * u, so each f_i takes the
-# factor u; no inverse and no big multiply beyond the products in X.  Then
-# vp(U_n) = vp(y) when vp(y) is below the precision y is known to.
-# Otherwise (y = 0, as when U_n = 0) the valuation is undetermined.
+# ``iter_valuations_with_bits`` is W_i = λ * U_{n-i} modulo p**Q, one p-adic
+# unit λ common to every slot.  With D(n) = p**t * u and p not dividing u,
+#     X = A_1(n)*W_1 + ... + A_k(n)*W_k = λ * D(n) * U_n  (mod p**Q)
+# is an exact multiple of p**t, and y = X / p**t = λ * u * U_n modulo
+# p**(Q-t).  y is the next W_1, with unit λ * u, so the slots that shift
+# down take the small factor u and the unit stays common; no inverse, and
+# no multiply but by small ints.  Each step takes vp(y) as a plain int,
+# with y = 0 counted as S, the digits y is known to beyond the loss (see
+# below), and tests it once, at a skipped index as at a yielded one:
+# vp(y) < S settles vp(U_n) = vp(y), and vp(y) >= S, as when U_n = 0,
+# leaves the valuation undetermined.
 #
 # Exact zeros: the stepper flags each slot that holds an exact 0, a seed
 # that is 0 or a step whose every term has A_i(n) = 0 or a flagged slot.
@@ -317,7 +319,7 @@ def cube_sum_2k(n: int) -> int:
 # state is reduced modulo p**Q.  Write T(j, n) = M(n)...M(j+1) /
 # (D(j+1)...D(n)) for the map from the state at j to the state at n.  A
 # reduction after step j adds a vector of multiples of p**Q, which reaches
-# step n multiplied by T(j, n), up to the units λ_i; errors enter nowhere
+# step n multiplied by T(j, n), up to the unit λ; errors enter nowhere
 # else, and the map is linear.  So
 # if vp(T(j, n)) >= -L for k-1 <= j < n < e, every error is a multiple of
 # p**(Q-L) (the lattice view of precision: Caruso, Roe & Vaccon, "Tracking
@@ -526,19 +528,29 @@ def iter_valuations_with_bits(
 ) -> Iterator[tuple[PadicVal, int]]:
     """Like ``iter_sequence_valuations`` but also reports, for each index,
     the bit length of the integer the stepper carried: a residue modulo a
-    power of p, or U_n itself after a fallback; 0 for an infinite valuation.
+    power of p, times small units since the last reduction, or U_n itself
+    after a fallback; 0 for an infinite valuation.
 
     Steps the recurrence modulo a constant p**Q from n = 0 (see the comment
-    block above ``_Kind``) and yields from ``start`` on.  An index whose
-    residue leaves its valuation undetermined, and is not an exact zero,
-    hands the rest of the range, from that index or from ``start`` if it is
-    later, on: once to the same stepper with its margin raised by the trivial
-    bound, stepped again from n = 0, and from there to the exact stepper
-    ``_iter_scaled``."""
+    block above ``_Kind``) and yields from ``start`` on.  Each step settles
+    on a plain-int valuation, and a pass yields one shared ``PadicVal`` per
+    distinct value.  An index whose residue leaves its valuation
+    undetermined, and is not an exact zero, hands the rest of the range,
+    from that index or from ``start`` if it is later, on: once to the same
+    stepper with its margin raised by the trivial bound, stepped again from
+    n = 0, and from there to the exact stepper ``_iter_scaled``."""
     if start < 0 or stop < start:
         raise ValueError(f"bad index range [{start}, {stop})")
     # returned, not yielded from: delegating would pass every step through one more frame
     return _modular_valuations(spec, p, start, stop)
+
+
+class _Interned(dict):
+    """Maps a finite valuation to its one ``PadicVal``, made on first use."""
+
+    def __missing__(self, v: int) -> PadicVal:
+        val = self[v] = PadicVal(v)
+        return val
 
 
 def _modular_valuations(
@@ -555,36 +567,31 @@ def _modular_valuations(
     if loss is None:  # the trivial bound
         loss = _vp_steps(step, p, k, stop)
     settles = _MARGIN + (raised or 0) + max((_split(p, w)[0] for w in window if w), default=0)
-    mod, unsettled = p ** (loss + settles), p**settles  # y % unsettled == 0 leaves vp(U_n) open
+    mod = p ** (loss + settles)
+    vals = _Interned()  # one PadicVal per valuation the pass yields
     for n, w in enumerate(window[::-1][start:stop], start):  # exact seeds, exact valuations
-        yield vp_int(p, w) - n * shift, w.bit_length()
+        yield (vals[vp_int(p, w).value - n * shift] if w else INF), w.bit_length()
     zeros = [not w for w in window]  # the slots that hold an exact 0
-    owed = [1] * k  # small units with owed[i] * λ_i = λ_0; window[i] = λ_i * U_{n-1-i}
     for n in range(k, stop):
         d, a = step(n)
         t, u = _split(p, d)
-        terms = map(mul, map(mul, a, owed), window)
+        terms = map(mul, a, window)
         y = sum(terms, next(terms))
         if t:
             y, rem = divmod(y, p**t)
             assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
-        if n < start:  # a skipped index needs only whether it settles
-            settled = y % unsettled
-        else:
-            v = vp_int(p, y)
-            settled = v < settles
-        zero = not settled and all(z or not c for c, z in zip(a, zeros))
-        if not (settled or zero):
+        v = _vp_nonzero(p, y) if y else settles  # v >= settles leaves vp(U_n) open
+        zero = v >= settles and all(z or not c for c, z in zip(a, zeros))
+        if v >= settles and not zero:
             if raised is None:  # vp(U_n) >= S: S raised by the trivial bound may settle it
                 yield from _modular_valuations(spec, p, max(n, start), stop, _vp_steps(step, p, k, stop))
             else:
                 yield from _exact_valuations(spec, p, shift, max(n, start), stop)
             return
         if n >= start:
-            yield v - n * shift, y.bit_length()
-        window = [y] + window[:-1]
+            yield (INF if zero else vals[v - n * shift]), y.bit_length()
+        window = [y] + [u * w for w in window[:-1]]  # y carries the unit λ*u: so must the rest
         zeros = [zero] + zeros[:-1]
-        owed = [1] + [u * f for f in owed[:-1]]
         if not n % _REDUCE_EVERY:
             window = [w % mod for w in window]
 

@@ -202,6 +202,20 @@ class TestVp:
         assert got == vp_oracle(p, n) == multiplicity(p, n)
         assert got >= e
 
+    @given(p=st.sampled_from((2, 3, 5, 7, 2**31 - 1)), e=st.integers(0, 600),
+           m=st.integers(0, 2**200), r=st.integers(0, 2**40), sign=st.sampled_from((1, -1)))
+    @example(p=3, e=600, m=0, r=0, sign=-1)
+    @example(p=2**31 - 1, e=600, m=2**200, r=2**40, sign=1)
+    def test_int_valuation_matches_vp_int(self, p, e, m, r, sign):
+        # the plain-int valuation the modular stepper settles on
+        from legval.arith import _vp_nonzero
+
+        u = m * p + r % (p - 1) + 1  # p does not divide u
+        n = sign * p**e * u
+        got = _vp_nonzero(p, n)
+        assert type(got) is int
+        assert got == vp_int(Prime(p), n).value == e
+
 
 class TestDigitSum:
     def test_examples(self):

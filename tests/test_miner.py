@@ -257,6 +257,27 @@ class TestBuildTable:
         table = build_table(SequenceSpec.dsum(), P3, 485, jobs=2)
         assert table == build_table(SequenceSpec.dsum(), P3, 485)
 
+    @pytest.mark.parametrize("spec, p", [(SequenceSpec.dsum(), 3), (SequenceSpec.delannoy(), 3),
+                                         (SequenceSpec.legendre(3), 3), (SequenceSpec.legendre(0), 5)],
+                             ids=lambda x: x.canonical() if isinstance(x, SequenceSpec) else str(x))
+    def test_equal_valuations_are_one_object(self, spec, p, tmp_path):
+        # a stream makes one PadicVal per distinct valuation; each still
+        # equals a fresh PadicVal, and a saved table reads back byte-exact
+        from legval.arith import vp_rat
+        from legval.sequences import iter_sequence_values
+
+        table = build_table(spec, Prime(p), 3**7)
+        finite = [v for v in table.values if not v.is_infinite]
+        assert len({id(v) for v in finite}) == len({v.value for v in finite})
+        assert all(type(v) is PadicVal and v == PadicVal(v.value) for v in finite)
+        assert list(table.values) == [vp_rat(Prime(p), x) for x in iter_sequence_values(spec, 3**7 + 1)]
+        first, second = tmp_path / "first.table", tmp_path / "second.table"
+        table.save(first)
+        again = ValuationTable.load(first)
+        again.save(second)
+        assert again == table
+        assert first.read_bytes() == second.read_bytes()
+
     def test_matches_oracle_values(self):
         from legval.arith import vp_rat
         from legval.sequences import eval_sequence

@@ -702,6 +702,25 @@ class TestModularStepper:
             got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, three, N, start)]
             assert got == want[start:], start
 
+    def test_steps_settle_without_vp_int(self, monkeypatch):
+        # each step settles on a plain-int valuation: ``vp_int`` runs only for
+        # the base B and the seeds U_0 = 1 and U_1 = 6 of legendre(3)
+        from legval import sequences
+        from legval.predictors import predict_vp_legendre_at_p_digits
+
+        calls = []
+        vp_int = sequences.vp_int
+
+        def counted(p, n):
+            calls.append(n)
+            return vp_int(p, n)
+
+        monkeypatch.setattr(sequences, "vp_int", counted)
+        three, N = Prime(3), 10**4
+        got = list(sequences.iter_sequence_valuations(SequenceSpec.legendre(3), three, N))
+        assert sorted(calls) == [1, 2, 6]
+        assert got == [predict_vp_legendre_at_p_digits(three, n) for n in range(N)]
+
     @pytest.mark.parametrize("spec", [SequenceSpec.legendre(3), SequenceSpec.q(3)], ids=SequenceSpec.canonical)
     def test_odd_point_streams_at_two_step_no_exact_integer(self, spec, monkeypatch):
         # a and b odd: U_n is 2**n times the odd central Delannoy number
