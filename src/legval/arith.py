@@ -197,6 +197,18 @@ class PadicVal:
 INF = PadicVal(None)
 
 
+class _Interned(dict):
+    """Maps a key to its one value, made by ``make(key)`` on first use; a
+    table or stream of valuations then shares one ``PadicVal`` per value."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        val = self[key] = self.make(key)
+        return val
+
+
 # p -> (p**K, K) for the largest K >= 1 with p**K inside one CPython digit.
 _BLOCKS: dict[int, tuple[int, int]] = {}
 _DIGIT = 1 << sys.int_info.bits_per_digit

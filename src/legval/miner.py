@@ -1,7 +1,9 @@
 """Valuation tables, affine p-kernel relation mining, and kernel rank.
 
-A ``ValuationTable`` stores vp of a sequence's exact values on 0..N.  The
-miner searches the table for affine relations of the single-term shape
+A ``ValuationTable`` stores vp of a sequence's exact values on 0..N, with
+one shared ``PadicVal`` per distinct value whether it was built from a
+valuation stream or loaded from a file.  The miner searches the table for
+affine relations of the single-term shape
 
     V(p**e * n + i) = V(p**e2 * n + j) + c      for all n,
 
@@ -23,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .arith import PadicVal, Prime
+from .arith import PadicVal, Prime, _Interned
 from .sequences import SequenceSpec, iter_valuations_with_bits
 
 __all__ = [
@@ -83,14 +85,16 @@ class ValuationTable:
         p = Prime(int(m.group(2)))
         n_expected = int(m.group(3))
         values: list[PadicVal] = []
+        parsed = _Interned(PadicVal.parse)  # each distinct value text is parsed once
         for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
+            fields = line.split()
+            if not fields:
                 continue
             try:
-                n, value = line.split()  # ValueError unless exactly two fields
+                n, value = fields  # ValueError unless exactly two fields
                 if int(n) != len(values):
                     raise ValueError
-                values.append(PadicVal.parse(value))
+                values.append(parsed[value])
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: expected '{len(values)} <value>', got {line!r}") from None

@@ -10,6 +10,10 @@ Two of the predictors (``predict_b_conjecture1``, ``predict_cube_sum_v3``)
 implement conjectures rather than proved theorems; their campaigns in
 ``legval.verify`` are flagged conjectural, so a mismatch is reported as a
 mathematical finding instead of an implementation bug.
+
+Valuations are computed as plain ints; each predictor returns the one shared
+``PadicVal`` of its value.  Only the predictors at a rational point r add
+vp(r), which is infinite at r = 0, as a ``PadicVal``.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from fractions import Fraction
 from .arith import (
     PadicVal,
     Prime,
+    _Interned,
+    _vp_nonzero,
     binomial_valuation_digits,
     digit_sum,
     digit_sum_prefix,
     factorial_valuation_digits,
-    vp_int,
     vp_rat,
 )
 
@@ -45,6 +50,10 @@ __all__ = [
     "predict_vp_Q",
     "predict_vp_cigler",
 ]
+
+
+# one PadicVal per predicted value; values are O(log n), so this stays small
+_VALS = _Interned(PadicVal)
 
 
 def _require_odd_prime(p: Prime) -> None:
@@ -76,11 +85,11 @@ def predict_vp_legendre_general(ctx: PredictionContext, n: int) -> PadicVal:
     p, r = ctx.p, ctx.r
     if n % 2 == 0:
         v = binomial_valuation_digits(p, n, n // 2)
-        return PadicVal(v if p >= 3 else v - n)
+        return _VALS[v if p >= 3 else v - n]
     v = binomial_valuation_digits(p, n - 1, (n - 1) // 2)
     if p >= 3:
-        return v + vp_rat(p, r) + vp_int(p, n)
-    return v + vp_rat(p, r) + (1 - n)
+        return vp_rat(p, r) + (v + _vp_nonzero(p, n))
+    return vp_rat(p, r) + (v + 1 - n)
 
 
 def predict_vp_legendre_general_oneline(ctx: PredictionContext, n: int) -> PadicVal:
@@ -89,8 +98,8 @@ def predict_vp_legendre_general_oneline(ctx: PredictionContext, n: int) -> Padic
     p, r = ctx.p, ctx.r
     base = binomial_valuation_digits(p, n, n // 2) - n * (1 if p == 2 else 0)
     if n % 2 == 0:
-        return PadicVal(base)
-    return base + vp_rat(p, r) + vp_int(p, n + 1)
+        return _VALS[base]
+    return vp_rat(p, r) + (base + _vp_nonzero(p, n + 1))
 
 
 def predict_vp_legendre_at_p_cases(p: Prime, n: int) -> PadicVal:
@@ -99,8 +108,8 @@ def predict_vp_legendre_at_p_cases(p: Prime, n: int) -> PadicVal:
     m = n // 2
     v = binomial_valuation_digits(p, 2 * m, m)
     if n % 2 == 0:
-        return PadicVal(v)
-    return 1 + vp_int(p, 2 * m + 1) + v
+        return _VALS[v]
+    return _VALS[1 + _vp_nonzero(p, 2 * m + 1) + v]
 
 
 def predict_vp_legendre_at_p_digits(p: Prime, n: int) -> PadicVal:
@@ -109,7 +118,7 @@ def predict_vp_legendre_at_p_digits(p: Prime, n: int) -> PadicVal:
     num = 2 * digit_sum(p, n // 2) - digit_sum(p, n) + (n % 2) * p
     q, rem = divmod(num, p - 1)
     assert rem == 0, f"digit formula not divisible by p-1 at p={p}, n={n}"
-    return PadicVal(q)
+    return _VALS[q]
 
 
 def predict_vp_legendre_at_p_digits_prefix(p: Prime, count: int) -> list[int]:
@@ -126,7 +135,7 @@ def predict_vp_legendre_at_2(n: int) -> PadicVal:
     """v2(P_n(2)) = (n mod 2) - v2(n!); negative from n = 2 on."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return PadicVal(n % 2 - factorial_valuation_digits(Prime(2), n))
+    return _VALS[n % 2 - factorial_valuation_digits(Prime(2), n)]
 
 
 def recurrence_step(p: Prime, f_n: PadicVal, n: int, a: int) -> PadicVal:
@@ -153,12 +162,11 @@ def predict_by_recurrence(p: Prime, n: int) -> PadicVal:
     while m:
         m, d = divmod(m, p)
         digits.append(d)
-    f = PadicVal(0)
-    cur = 0
+    f = parity = 0  # f(m) and m mod 2 for the prefix m of n read so far
     for a in reversed(digits):
-        f = recurrence_step(p, f, cur, a)
-        cur = cur * p + a
-    return f
+        parity = (parity + a) % 2  # p*m + a ≡ m + a (mod 2), as p is odd
+        f += parity  # recurrence_step: f(p*m + a) = f(m) + ((m + a) mod 2)
+    return _VALS[f]
 
 
 def predict_b_conjecture1(i: int) -> PadicVal:
@@ -166,11 +174,15 @@ def predict_b_conjecture1(i: int) -> PadicVal:
     by the two-branch base-3/base-9 recurrence with b(0) = 0."""
     if i < 0:
         raise ValueError("index must be >= 0")
-    if i == 0:
-        return PadicVal(0)
-    if i % 3 == 1:
-        return predict_b_conjecture1(i // 9) + 1
-    return predict_b_conjecture1(i // 3) + (i // 3) % 2
+    b = 0  # b of the index passed in is b + b(i) for the current i
+    while i:
+        if i % 3 == 1:
+            i //= 9
+            b += 1
+        else:
+            i //= 3
+            b += i % 2
+    return _VALS[b]
 
 
 def predict_b_conjecture1_prefix(count: int) -> list[int]:
@@ -192,7 +204,7 @@ def predict_strauss_shallit(n: int) -> PadicVal:
     if n < 1:
         raise ValueError("defined for n >= 1 only (the empty sum is zero)")
     p3 = Prime(3)
-    return binomial_valuation_digits(p3, 2 * n, n) + 2 * vp_int(p3, n)
+    return _VALS[binomial_valuation_digits(p3, 2 * n, n) + 2 * _vp_nonzero(p3, n)]
 
 
 def predict_cube_sum_v3(n: int) -> PadicVal:
@@ -201,8 +213,8 @@ def predict_cube_sum_v3(n: int) -> PadicVal:
         raise ValueError("index must be >= 0")
     p3 = Prime(3)
     if n % 6 == 5:
-        return PadicVal(digit_sum(p3, (n - 1) // 2) + 1)
-    return PadicVal(digit_sum(p3, (n + 1) // 2))
+        return _VALS[digit_sum(p3, (n - 1) // 2) + 1]
+    return _VALS[digit_sum(p3, (n + 1) // 2)]
 
 
 def predict_vp_Q(ctx: PredictionContext, n: int) -> PadicVal:
@@ -213,10 +225,10 @@ def predict_vp_Q(ctx: PredictionContext, n: int) -> PadicVal:
     m = n // 2
     v = binomial_valuation_digits(p, 2 * m, m)
     if n % 2 == 0:
-        return PadicVal(v)
+        return _VALS[v]
     if p >= 3:
-        return vp_rat(p, r) + vp_int(p, 2 * m + 1) + v
-    return 1 + vp_rat(p, r) + v
+        return vp_rat(p, r) + (_vp_nonzero(p, 2 * m + 1) + v)
+    return vp_rat(p, r) + (1 + v)
 
 
 def predict_vp_cigler(p: Prime, n: int) -> PadicVal:

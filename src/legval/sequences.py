@@ -53,7 +53,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator
 
-from .arith import INF, PadicVal, Prime, _vp_nonzero, vp_int
+from .arith import INF, PadicVal, Prime, _Interned, _vp_nonzero, vp_int
 
 __all__ = [
     "SequenceKind",
@@ -545,14 +545,6 @@ def iter_valuations_with_bits(
     return _modular_valuations(spec, p, start, stop)
 
 
-class _Interned(dict):
-    """Maps a finite valuation to its one ``PadicVal``, made on first use."""
-
-    def __missing__(self, v: int) -> PadicVal:
-        val = self[v] = PadicVal(v)
-        return val
-
-
 def _modular_valuations(
     spec: SequenceSpec, p: Prime, start: int, stop: int, raised: int | None = None
 ) -> Iterator[tuple[PadicVal, int]]:
@@ -568,7 +560,7 @@ def _modular_valuations(
         loss = _vp_steps(step, p, k, stop)
     settles = _MARGIN + (raised or 0) + max((_split(p, w)[0] for w in window if w), default=0)
     mod = p ** (loss + settles)
-    vals = _Interned()  # one PadicVal per valuation the pass yields
+    vals = _Interned(PadicVal)  # one PadicVal per valuation the pass yields
     for n, w in enumerate(window[::-1][start:stop], start):  # exact seeds, exact valuations
         yield (vals[vp_int(p, w).value - n * shift] if w else INF), w.bit_length()
     zeros = [not w for w in window]  # the slots that hold an exact 0

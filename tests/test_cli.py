@@ -112,6 +112,11 @@ class TestPredict:
         code, _, err = run(capsys, "predict", "--predictor", "strauss", "--n", "0..4")
         assert code == 2
 
+    def test_conj1_at_large_index(self, capsys):
+        n = str(10**700)
+        code, out, err = run(capsys, "predict", "--predictor", "conj1", "--n", f"{n}..{n}")
+        assert (code, out, err) == (0, f"{n} 699\n", "")
+
     def test_streams_rows_as_computed(self, capsys, monkeypatch):
         # a predictor that fails at n = 3 finds rows 0..2 already written,
         # so a long range is never held in memory before printing

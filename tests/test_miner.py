@@ -321,10 +321,27 @@ class TestPersistence:
         t.save(path)
         assert ValuationTable.load(path) == t
 
+    def test_load_shares_one_object_per_value(self, tmp_path):
+        # each distinct value text is parsed once; blank lines are skipped
+        path = tmp_path / "t.table"
+        path.write_text("# spec=dsum p=3 N=7\n0 inf\n1 0\n2 1\n\n3 0\n  \n4 -2\n5 1\n6 inf\n7 -2\n")
+        values = ValuationTable.load(path).values
+        assert values == (INF, 0, 1, 0, -2, 1, INF, -2)
+        assert values[0] is INF and values[6] is INF
+        finite = [v for v in values if not v.is_infinite]
+        assert len({id(v) for v in finite}) == len({v.value for v in finite}) == 3
+        assert all(type(v) is PadicVal and v == PadicVal(v.value) for v in finite)
+
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.table"
         path.write_text("# spec=delannoy p=3 N=1\n0 0\n2 1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bad\.table:3: expected '1 <value>', got '2 1'$"):
+            ValuationTable.load(path)
+        path.write_text("# spec=delannoy p=3 N=1\n0 0\n1 1 1\n")
+        with pytest.raises(ValueError, match=r"bad\.table:3: expected '1 <value>', got '1 1 1'$"):
+            ValuationTable.load(path)
+        path.write_text("# spec=delannoy p=3 N=2\n0 0\n1 1\n")
+        with pytest.raises(ValueError, match=r"bad\.table: header says N=2 but 2 entries present$"):
             ValuationTable.load(path)
         path.write_text("no header\n")
         with pytest.raises(ValueError):

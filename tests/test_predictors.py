@@ -60,6 +60,11 @@ class TestContext:
         # vp(0) = +inf satisfies the hypothesis.
         ctx = PredictionContext(Prime(3), Fraction(0))
         assert predict_vp_legendre_general(ctx, 1).is_infinite  # P_1(0) = 0
+        for ctx in (ctx, PredictionContext(Prime(2), Fraction(0))):
+            for n in (1, 3, 27):  # P_n(0) = Q_n(0) = 0 at odd n
+                assert predict_vp_legendre_general(ctx, n) is INF
+                assert predict_vp_legendre_general_oneline(ctx, n) is INF
+                assert predict_vp_Q(ctx, n) is INF
 
 
 class TestGeneralPredictor:
@@ -167,6 +172,26 @@ class TestRecurrence:
         assert predict_by_recurrence(Prime(3), 0) == 0
         assert predict_by_recurrence(Prime(5), 13) == predict_vp_legendre_at_p_digits(Prime(5), 13)
 
+    @pytest.mark.parametrize("p", [Prime(3), Prime(5), Prime(7), Prime(11)])
+    def test_fold_matches_step_rule(self, p):
+        def fold(n):  # recurrence_step on PadicVal, most significant digit first
+            digits = []
+            while n:
+                n, a = divmod(n, p)
+                digits.append(a)
+            f, m = PadicVal(0), 0
+            for a in reversed(digits):
+                f, m = recurrence_step(p, f, m, a), m * p + a
+            return f
+
+        folded = [PadicVal(0)]  # the same fold for every n < p**5, one step per n from n // p
+        for n in range(1, p**5):
+            folded.append(recurrence_step(p, folded[n // p], n // p, n % p))
+        near = [10**100 + d for d in range(-3, 4)] + [p**96 - 1, 3 * p**95 + 1]
+        for n, want in [*enumerate(folded), *((n, fold(n)) for n in near)]:
+            got = predict_by_recurrence(p, n)
+            assert type(got) is PadicVal and got == want, (p, n)
+
 
 class TestConjecture1:
     def test_examples(self):
@@ -189,8 +214,14 @@ class TestConjecture1:
             assert predict_b_conjecture1(i) == predict_vp_legendre_at_p_digits(p3, i)
 
     def test_prefix_matches_pointwise(self):
-        batch = predict_b_conjecture1_prefix(2000)
-        assert batch == [predict_b_conjecture1(i).value for i in range(2000)]
+        batch = predict_b_conjecture1_prefix(3**10)
+        assert batch == [predict_b_conjecture1(i).value for i in range(3**10)]
+
+    def test_large_index(self):
+        # 10**700 has about 1,470 base-3 digits, which the recursive form
+        # descended one call per digit or two, past the default recursion
+        # limit; 699 is its value there under a raised limit
+        assert predict_b_conjecture1(10**700) == 699
 
 
 class TestStraussShallit:
