@@ -10,7 +10,7 @@ the same quantities without ever touching the large numbers they describe.
 
 All functions are pure, except ``unlimited_int_digits``, which changes the
 interpreter's int/str digit limit for its block; values are immutable and safe
-to share between threads or send to worker processes.
+to share between threads.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ class PadicVal:
     """An integer valuation, or positive infinity (the valuation of zero).
 
     Finite values may be negative (valuations of non-integral rationals).
-    Addition and integer multiplication absorb infinity; comparisons place
-    infinity above every finite value.  Instances compare equal to plain
-    integers of the same finite value.
+    Comparisons place infinity above every finite value.  Instances compare
+    equal to, hash and print as plain ints of the same finite value; there
+    is no arithmetic on them, which is done on ints through ``value``.
     """
 
     __slots__ = ("_v",)
@@ -163,43 +163,14 @@ class PadicVal:
     def __ge__(self, other: "PadicVal | int") -> bool:
         return not self < other
 
-    def __add__(self, other: "PadicVal | int") -> "PadicVal":
-        o = other._v if isinstance(other, PadicVal) else other
-        if self._v is None or o is None:
-            return INF
-        return PadicVal(self._v + o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "PadicVal | int") -> "PadicVal":
-        o = other._v if isinstance(other, PadicVal) else other
-        if o is None:
-            raise ValueError("cannot subtract an infinite valuation")
-        if self._v is None:
-            return INF
-        return PadicVal(self._v - o)
-
-    def __mul__(self, other: int) -> "PadicVal":
-        if not isinstance(other, int):
-            return NotImplemented
-        if self._v is None:
-            if other <= 0:
-                raise ValueError("cannot scale an infinite valuation by a non-positive int")
-            return INF
-        return PadicVal(self._v * other)
-
-    __rmul__ = __mul__
-
-    def __reduce__(self):
-        return (PadicVal, (self._v,))
-
 
 INF = PadicVal(None)
 
 
 class _Interned(dict):
-    """Maps a key to its one value, made by ``make(key)`` on first use; a
-    table or stream of valuations then shares one ``PadicVal`` per value."""
+    """Maps a key to its one value, made by ``make(key)`` on first use.  Each
+    table load and each stream pass makes its own, so a table or a stream
+    shares one ``PadicVal`` per value, and none outlives it."""
 
     def __init__(self, make):
         self.make = make

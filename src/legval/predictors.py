@@ -11,9 +11,10 @@ implement conjectures rather than proved theorems; their campaigns in
 ``legval.verify`` are flagged conjectural, so a mismatch is reported as a
 mathematical finding instead of an implementation bug.
 
-Valuations are computed as plain ints; each predictor returns the one shared
-``PadicVal`` of its value.  Only the predictors at a rational point r add
-vp(r), which is infinite at r = 0, as a ``PadicVal``.
+Valuations are computed and returned as plain ints, and no predictor keeps
+a value past its call.  Only the predictors at a rational point r add vp(r),
+which is infinite at r = 0: there they return ``INF`` at odd n, where
+P_n(0) = Q_n(0) = 0.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
+    INF,
     PadicVal,
     Prime,
-    _Interned,
     _vp_nonzero,
     binomial_valuation_digits,
     digit_sum,
@@ -52,10 +53,6 @@ __all__ = [
 ]
 
 
-# one PadicVal per predicted value; values are O(log n), so this stays small
-_VALS = _Interned(PadicVal)
-
-
 def _require_odd_prime(p: Prime) -> None:
     if p < 3:
         raise ValueError("this predictor requires an odd prime p >= 3")
@@ -80,45 +77,48 @@ class PredictionContext:
                 f"hypothesis violated: vp(r) >= 1 required, but v_{int(self.p)}({self.r}) = {v}")
 
 
-def predict_vp_legendre_general(ctx: PredictionContext, n: int) -> PadicVal:
+def _plus_vp_r(ctx: PredictionContext, v: int) -> int | PadicVal:
+    """vp(r) + v, or ``INF`` at r = 0."""
+    return INF if ctx.r == 0 else vp_rat(ctx.p, ctx.r).value + v
+
+
+def predict_vp_legendre_general(ctx: PredictionContext, n: int) -> int | PadicVal:
     """vp(P_n(r)) for vp(r) >= 1, split over the parities of n and p = 2."""
-    p, r = ctx.p, ctx.r
+    p = ctx.p
     if n % 2 == 0:
         v = binomial_valuation_digits(p, n, n // 2)
-        return _VALS[v if p >= 3 else v - n]
+        return v if p >= 3 else v - n
     v = binomial_valuation_digits(p, n - 1, (n - 1) // 2)
-    if p >= 3:
-        return vp_rat(p, r) + (v + _vp_nonzero(p, n))
-    return vp_rat(p, r) + (v + 1 - n)
+    return _plus_vp_r(ctx, v + _vp_nonzero(p, n) if p >= 3 else v + 1 - n)
 
 
-def predict_vp_legendre_general_oneline(ctx: PredictionContext, n: int) -> PadicVal:
+def predict_vp_legendre_general_oneline(ctx: PredictionContext, n: int) -> int | PadicVal:
     """Same prediction in one closed form:
     vp(2**-n * C(n, n//2)) + (n mod 2) * vp(r * (n+1))."""
-    p, r = ctx.p, ctx.r
+    p = ctx.p
     base = binomial_valuation_digits(p, n, n // 2) - n * (1 if p == 2 else 0)
     if n % 2 == 0:
-        return _VALS[base]
-    return vp_rat(p, r) + (base + _vp_nonzero(p, n + 1))
+        return base
+    return _plus_vp_r(ctx, base + _vp_nonzero(p, n + 1))
 
 
-def predict_vp_legendre_at_p_cases(p: Prime, n: int) -> PadicVal:
+def predict_vp_legendre_at_p_cases(p: Prime, n: int) -> int:
     """vp(P_n(p)) for odd p, by parity of n."""
     _require_odd_prime(p)
     m = n // 2
     v = binomial_valuation_digits(p, 2 * m, m)
     if n % 2 == 0:
-        return _VALS[v]
-    return _VALS[1 + _vp_nonzero(p, 2 * m + 1) + v]
+        return v
+    return 1 + _vp_nonzero(p, 2 * m + 1) + v
 
 
-def predict_vp_legendre_at_p_digits(p: Prime, n: int) -> PadicVal:
+def predict_vp_legendre_at_p_digits(p: Prime, n: int) -> int:
     """vp(P_n(p)) for odd p, as a pure digit-sum formula."""
     _require_odd_prime(p)
     num = 2 * digit_sum(p, n // 2) - digit_sum(p, n) + (n % 2) * p
     q, rem = divmod(num, p - 1)
     assert rem == 0, f"digit formula not divisible by p-1 at p={p}, n={n}"
-    return _VALS[q]
+    return q
 
 
 def predict_vp_legendre_at_p_digits_prefix(p: Prime, count: int) -> list[int]:
@@ -131,27 +131,24 @@ def predict_vp_legendre_at_p_digits_prefix(p: Prime, count: int) -> list[int]:
     ]
 
 
-def predict_vp_legendre_at_2(n: int) -> PadicVal:
+def predict_vp_legendre_at_2(n: int) -> int:
     """v2(P_n(2)) = (n mod 2) - v2(n!); negative from n = 2 on."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return _VALS[n % 2 - factorial_valuation_digits(Prime(2), n)]
+    return n % 2 - factorial_valuation_digits(Prime(2), n)
 
 
 def recurrence_step(p: Prime, f_n: PadicVal, n: int, a: int) -> PadicVal:
     """One base-p descent step: the valuation at index p*n + a from the
-    valuation f_n at index n, for odd p and digit 0 <= a < p."""
+    valuation f_n at index n, for odd p and digit 0 <= a < p; an infinite
+    f_n raises ``ValueError``."""
     _require_odd_prime(p)
     if not 0 <= a < p:
         raise ValueError(f"digit a must satisfy 0 <= a < p, got a={a}, p={int(p)}")
-    if f_n.is_infinite:
-        raise ValueError("recurrence step requires a finite current valuation")
-    if a % 2 == 0:
-        return f_n + (n % 2)
-    return f_n + 1 - (n % 2)
+    return PadicVal(f_n.value + (n + a) % 2)
 
 
-def predict_by_recurrence(p: Prime, n: int) -> PadicVal:
+def predict_by_recurrence(p: Prime, n: int) -> int:
     """vp(P_n(p)) by folding the digit recurrence over the base-p digits of n,
     most significant first, starting from the value 0 at index 0."""
     _require_odd_prime(p)
@@ -166,10 +163,10 @@ def predict_by_recurrence(p: Prime, n: int) -> PadicVal:
     for a in reversed(digits):
         parity = (parity + a) % 2  # p*m + a ≡ m + a (mod 2), as p is odd
         f += parity  # recurrence_step: f(p*m + a) = f(m) + ((m + a) mod 2)
-    return _VALS[f]
+    return f
 
 
-def predict_b_conjecture1(i: int) -> PadicVal:
+def predict_b_conjecture1(i: int) -> int:
     """Conjectured 3-adic valuation of the i-th central Delannoy number,
     by the two-branch base-3/base-9 recurrence with b(0) = 0."""
     if i < 0:
@@ -182,7 +179,7 @@ def predict_b_conjecture1(i: int) -> PadicVal:
         else:
             i //= 3
             b += i % 2
-    return _VALS[b]
+    return b
 
 
 def predict_b_conjecture1_prefix(count: int) -> list[int]:
@@ -198,39 +195,37 @@ def predict_b_conjecture1_prefix(count: int) -> list[int]:
     return out
 
 
-def predict_strauss_shallit(n: int) -> PadicVal:
+def predict_strauss_shallit(n: int) -> int:
     """v3 of the partial sum of central binomials:
     v3(C(2n,n)) + 2*v3(n), for n >= 1."""
     if n < 1:
         raise ValueError("defined for n >= 1 only (the empty sum is zero)")
     p3 = Prime(3)
-    return _VALS[binomial_valuation_digits(p3, 2 * n, n) + 2 * _vp_nonzero(p3, n)]
+    return binomial_valuation_digits(p3, 2 * n, n) + 2 * _vp_nonzero(p3, n)
 
 
-def predict_cube_sum_v3(n: int) -> PadicVal:
+def predict_cube_sum_v3(n: int) -> int:
     """Conjectured v3 of sum C(n,k)**3 * 2**k, via base-3 digit sums."""
     if n < 0:
         raise ValueError("index must be >= 0")
     p3 = Prime(3)
     if n % 6 == 5:
-        return _VALS[digit_sum(p3, (n - 1) // 2) + 1]
-    return _VALS[digit_sum(p3, (n + 1) // 2)]
+        return digit_sum(p3, (n - 1) // 2) + 1
+    return digit_sum(p3, (n + 1) // 2)
 
 
-def predict_vp_Q(ctx: PredictionContext, n: int) -> PadicVal:
+def predict_vp_Q(ctx: PredictionContext, n: int) -> int | PadicVal:
     """vp(Q_n(r)) = vp(2**n * P_n(r)) for vp(r) >= 1, by parity of n."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    p, r = ctx.p, ctx.r
+    p = ctx.p
     m = n // 2
     v = binomial_valuation_digits(p, 2 * m, m)
     if n % 2 == 0:
-        return _VALS[v]
-    if p >= 3:
-        return vp_rat(p, r) + (_vp_nonzero(p, 2 * m + 1) + v)
-    return vp_rat(p, r) + (1 + v)
+        return v
+    return _plus_vp_r(ctx, _vp_nonzero(p, 2 * m + 1) + v if p >= 3 else 1 + v)
 
 
-def predict_vp_cigler(p: Prime, n: int) -> PadicVal:
+def predict_vp_cigler(p: Prime, n: int) -> int:
     """vp(M_n(p)) for odd p; provably equal to vp(P_n(p))."""
     return predict_vp_legendre_at_p_digits(p, n)

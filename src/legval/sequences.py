@@ -592,5 +592,6 @@ def _exact_valuations(
     spec: SequenceSpec, p: Prime, shift: int, start: int, stop: int
 ) -> Iterator[tuple[PadicVal, int]]:
     """``iter_valuations_with_bits`` from the exact integers U_n."""
+    vals = _Interned(PadicVal)
     for n, u in enumerate(_iter_scaled(spec, start, stop), start):
-        yield vp_int(p, u) - n * shift, u.bit_length()
+        yield (vals[_vp_nonzero(p, u) - n * shift] if u else INF), u.bit_length()

@@ -20,6 +20,7 @@ from legval.arith import (
     vp_int,
     vp_rat,
 )
+from legval.verify import Mismatch, _differ
 
 
 def vp_oracle(p, n):
@@ -84,15 +85,6 @@ class TestPadicVal:
 
     def test_int_interop(self):
         assert PadicVal(2) == 2
-        assert PadicVal(2) + 3 == 5
-        assert 3 + PadicVal(2) == PadicVal(5)
-        assert 2 * PadicVal(3) == 6
-        assert PadicVal(7) - 4 == 3
-
-    def test_infinity_absorbs(self):
-        assert (INF + 5).is_infinite
-        assert (INF + PadicVal(-2)).is_infinite
-        assert (2 * INF).is_infinite
 
     def test_value_accessor(self):
         assert PadicVal(-1).value == -1
@@ -131,22 +123,19 @@ class TestPadicValLaws:
         assert PadicVal(x) < INF and INF > PadicVal(x)
         assert x < INF and INF > x and INF >= x and INF != x
 
-    @given(a=PADIC, b=PADIC, c=PADIC)
-    def test_addition(self, a, b, c):
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert a + 0 == a == 0 + a
-        assert (a + INF).is_infinite and (INF + a).is_infinite
-
-    @given(x=st.integers(), y=st.integers())
-    def test_finite_values_behave_as_int(self, x, y):
+    @given(x=st.integers(), y=st.integers(), n=st.integers(min_value=0))
+    def test_finite_values_behave_as_int(self, x, y, n):
+        # predictors return ints and tables PadicVals: reports compare and print the two mixed
         a, b = PadicVal(x), PadicVal(y)
-        assert a == x and x == a and hash(a) == hash(x)
+        assert a == x and x == a and not (a != x or x != a)
+        assert hash(a) == hash(x) and str(a) == str(x) == format(a) == format(x)
         assert (a == b) == (x == y) and (a != b) == (x != y)
         assert (a < b) == (x < y) and (a <= b) == (x <= y)
         assert (a < y) == (x < y) and (x < b) == (x < y)
-        assert a + b == a + y == x + b == x + y
+        assert x < INF and INF != x and x != INF
         assert len({a, x}) == 1
+        assert _differ(n, x, a) is None and _differ(n, a, x) is None
+        assert _differ(n, x, INF) == Mismatch(n, str(x), "inf")
 
 
 class TestVp:
@@ -321,8 +310,8 @@ class TestLemmaIdentities:
         for p in (2, 3, 5, 7):
             P = Prime(p)
             for m in range(0, 300):
-                lhs = vp_int(P, 2 * m + 1) + binomial_valuation_digits(P, 2 * m, m)
-                mid = vp_int(P, m + 1) + binomial_valuation_digits(P, 2 * m + 1, m)
+                lhs = vp_int(P, 2 * m + 1).value + binomial_valuation_digits(P, 2 * m, m)
+                mid = vp_int(P, m + 1).value + binomial_valuation_digits(P, 2 * m + 1, m)
                 num = 2 * digit_sum(P, m) - digit_sum(P, 2 * m + 1) + 1
                 assert num % (p - 1) == 0
                 assert lhs == mid == num // (p - 1)

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -127,7 +129,7 @@ class TestAtPPredictors:
     def test_prefix_batch_matches_pointwise(self):
         for p in (Prime(3), Prime(5)):
             batch = predict_vp_legendre_at_p_digits_prefix(p, 600)
-            assert batch == [predict_vp_legendre_at_p_digits(p, n).value for n in range(600)]
+            assert batch == [predict_vp_legendre_at_p_digits(p, n) for n in range(600)]
 
 
 class TestAt2Predictor:
@@ -190,7 +192,7 @@ class TestRecurrence:
         near = [10**100 + d for d in range(-3, 4)] + [p**96 - 1, 3 * p**95 + 1]
         for n, want in [*enumerate(folded), *((n, fold(n)) for n in near)]:
             got = predict_by_recurrence(p, n)
-            assert type(got) is PadicVal and got == want, (p, n)
+            assert type(got) is int and got == want, (p, n)
 
 
 class TestConjecture1:
@@ -215,7 +217,7 @@ class TestConjecture1:
 
     def test_prefix_matches_pointwise(self):
         batch = predict_b_conjecture1_prefix(3**10)
-        assert batch == [predict_b_conjecture1(i).value for i in range(3**10)]
+        assert batch == [predict_b_conjecture1(i) for i in range(3**10)]
 
     def test_large_index(self):
         # 10**700 has about 1,470 base-3 digits, which the recursive form
@@ -285,3 +287,46 @@ class TestCiglerPredictor:
     def test_against_exact_oracle(self, p):
         for n in range(0, 120):
             assert predict_vp_cigler(p, n) == vp_rat(p, cigler_eval(n, Fraction(p)))
+
+
+RATIONAL_POINT = (predict_vp_legendre_general, predict_vp_legendre_general_oneline, predict_vp_Q)
+
+
+class TestIntReturns:
+    """Every predictor returns a plain int, and keeps none past its call."""
+
+    def test_every_predictor_returns_int(self):
+        p3 = Prime(3)
+        ctxs = [PredictionContext(p, r) for p, r in GENERAL_CASES]
+        for n in range(1, 60):
+            got = [predict_vp_legendre_at_p_cases(p3, n), predict_vp_legendre_at_p_digits(p3, n),
+                   predict_by_recurrence(p3, n), predict_vp_legendre_at_2(n), predict_b_conjecture1(n),
+                   predict_strauss_shallit(n), predict_cube_sum_v3(n), predict_vp_cigler(p3, n)]
+            got += [predict(ctx, n) for ctx in ctxs for predict in RATIONAL_POINT]
+            assert all(type(v) is int for v in got), n
+
+    @pytest.mark.parametrize("p", [Prime(2), Prime(3), Prime(5)])
+    def test_zero_point_is_inf_at_odd_n_only(self, p):
+        ctx = PredictionContext(p, Fraction(0))
+        for n in range(60):
+            for predict in RATIONAL_POINT:
+                got = predict(ctx, n)
+                assert got is INF if n % 2 else type(got) is int, (predict.__name__, n)
+
+    @pytest.mark.parametrize("predict,lo", [
+        (predict_vp_legendre_at_2, 10**6),
+        (partial(predict_vp_legendre_general, PredictionContext(Prime(2), Fraction(2))), 2 * 10**6),
+    ], ids=["thm5", "thm3-at-2"])
+    def test_no_value_outlives_its_call(self, predict, lo):
+        # v2(P_n(2)) and Theorem 3's even branch v - n at p = 2 take O(n)
+        # distinct values, here disjoint between the two: a cache of
+        # predicted values would grow with each one
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(lo, lo + 10**5):
+                predict(n)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 2**20, grown

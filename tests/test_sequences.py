@@ -668,6 +668,36 @@ class TestModularStepper:
             assert got == list(range(start, 60)), start
             assert fallbacks == [max(2, start)], start
 
+    @pytest.mark.parametrize("spec,p", [
+        (SequenceSpec.legendre(3), Prime(2)), (SequenceSpec.legendre(3), Prime(3)),
+        (SequenceSpec.legendre(0), Prime(3)), (SequenceSpec.q(0), Prime(2)), (SequenceSpec.q(0), Prime(3)),
+    ], ids=lambda x: x.canonical() if isinstance(x, SequenceSpec) else str(int(x)))
+    def test_exact_fallback_shares_one_value_per_valuation(self, spec, p, monkeypatch):
+        # no margin and a trivial bound of 0 leave an early index undetermined
+        # on both passes, so the exact stepper yields the rest of the range,
+        # in which valuations repeat
+        from legval import sequences
+
+        fallbacks = []
+        exact = sequences._exact_valuations
+
+        def counted(spec, p, shift, start, stop):
+            fallbacks.append(start)
+            return exact(spec, p, shift, start, stop)
+
+        monkeypatch.setattr(sequences, "_MARGIN", 0)
+        monkeypatch.setattr(sequences, "_vp_steps", lambda step, p, lo, hi: 0)
+        monkeypatch.setattr(sequences, "_exact_valuations", counted)
+        N = 300
+        got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, p, N)]
+        assert got == exact_valuations(spec, p, N)
+        [start] = fallbacks
+        assert start <= 3
+        if spec.r == 0:  # U_n = 0 at every odd n
+            assert all(v is INF for v in got[1::2])
+        finite = [v for v in got[start:] if not v.is_infinite]
+        assert len({id(v) for v in finite}) == len(set(finite)) < len(finite)
+
     @pytest.mark.parametrize("spec", [SequenceSpec.legendre(2), SequenceSpec.q(Fraction(4, 3)),
                                       SequenceSpec.cigler(Fraction(4, 3))], ids=SequenceSpec.canonical)
     def test_two_adic_streams_stay_at_constant_precision(self, spec, monkeypatch):

@@ -160,7 +160,8 @@ class TestMismatchText:
 
         def fake(*args):
             value = original(*args)
-            return value + by if when(*args) else value
+            # recurrence_step returns a PadicVal, which has no arithmetic
+            return getattr(value, "value", value) + by if when(*args) else value
 
         monkeypatch.setattr(verify, name, fake)
 
