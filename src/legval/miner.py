@@ -1,8 +1,10 @@
 """Valuation tables, affine p-kernel relation mining, and kernel rank.
 
-A ``ValuationTable`` stores vp of a sequence's exact values on 0..N, with
-one shared ``PadicVal`` per distinct value whether it was built from a
-valuation stream or loaded from a file.  The miner searches the table for
+A ``ValuationTable`` stores vp of a sequence's exact values on 0..N: ints,
+one shared ``PadicVal`` per distinct value whether the table was built from
+a valuation stream or loaded from a file, and ``INF``, the float infinity,
+at zeros.  The miner reads the entries as they are: the residue class
+p**e * n + i is the slice ``values[i::p**e]``.  It searches the table for
 affine relations of the single-term shape
 
     V(p**e * n + i) = V(p**e2 * n + j) + c      for all n,
@@ -22,10 +24,11 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .arith import PadicVal, Prime, _Interned
+from .arith import INF, PadicVal, Prime, _Interned
 from .sequences import SequenceSpec, iter_valuations_with_bits
 
 __all__ = [
@@ -52,7 +55,7 @@ class ValuationTable:
 
     spec: SequenceSpec
     p: Prime
-    values: tuple[PadicVal, ...]
+    values: tuple[int | float, ...]
 
     @property
     def N(self) -> int:
@@ -84,7 +87,7 @@ class ValuationTable:
         spec = SequenceSpec.parse(m.group(1))
         p = Prime(int(m.group(2)))
         n_expected = int(m.group(3))
-        values: list[PadicVal] = []
+        values: list[int | float] = []
         parsed = _Interned(PadicVal.parse)  # each distinct value text is parsed once
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split()
@@ -166,30 +169,24 @@ def format_relation(cand: RelationCandidate, p: Prime) -> str:
     return eq
 
 
-def _ints(table: ValuationTable) -> list[int | None]:
-    """Entries as ints, None for infinity; class p**e * n + i is ``ints[i::p**e]``."""
-    return [None if v.is_infinite else v.value for v in table.values]
-
-
 def verify_relation(table: ValuationTable, cand: RelationCandidate) -> MinedRelation:
     """Checks a candidate on every testable index: each pair of its zipped class slices."""
     p = table.p
     pe, pe2 = p**cand.e, p**cand.e2
     if not 0 <= cand.i < pe or not 0 <= cand.j < pe2:
         raise ValueError(f"candidate offsets out of range for p={int(p)}: {cand}")
-    ints = _ints(table)
-    lhs, rhs = ints[cand.i::pe], ints[cand.j::pe2]
-    finite = [(a, b) for a, b in zip(lhs, rhs) if a is not None and b is not None]
+    lhs, rhs = table.values[cand.i::pe], table.values[cand.j::pe2]
+    finite = [(a, b) for a, b in zip(lhs, rhs) if a is not INF and b is not INF]
     violations = sum(a != b + cand.c for a, b in finite)
     return MinedRelation(cand, len(finite), violations, min(len(lhs), len(rhs)) - len(finite))
 
 
 def _best_relation(
-    classes: list[list[list[int | None]]], e: int, i: int, min_support: int, c_bound: int
+    classes: list[list[tuple[int | float, ...]]], e: int, i: int, min_support: int, c_bound: int
 ) -> MinedRelation | None:
     """Shallowest relation explaining class (e, i), or None.
 
-    ``classes[e2][j]`` is the slice ``ints[j::p**e2]`` for e2 <= e.  Candidates
+    ``classes[e2][j]`` is the slice ``values[j::p**e2]`` for e2 <= e.  Candidates
     are scanned by (e2 ascending, j ascending); the first testable index
     forces c and the first other difference drops the candidate, so this
     realizes the preference order: smallest e2, then smallest j, then c.
@@ -202,7 +199,7 @@ def _best_relation(
             c = None
             support = 0
             for lhs, rhs in zip(lhs_class, rhs_class):
-                if lhs is None or rhs is None:
+                if lhs is INF or rhs is INF:
                     continue
                 diff = lhs - rhs
                 if c is None:
@@ -249,20 +246,20 @@ def mine_relations(
         c_bound = default_c_bound(p)
     if c_bound < 0:
         raise ValueError("c_bound must be >= 0")
-    ints = _ints(table)
+    values = table.values
     deepest = p**max_e
-    if len(ints[deepest - 1::deepest]) < min_support:
+    if len(values[deepest - 1::deepest]) < min_support:
         raise ValueError(
             f"table too short: level-{max_e} classes have fewer than {min_support} indices"
         )
-    classes: list[list[list[int | None]]] = []
+    classes: list[list[tuple[int | float, ...]]] = []
     accepted: list[MinedRelation] = []
     frontier = [0]  # offsets i of the unexplained classes at level e
     for e in range(max_e + 1):
         if not frontier:
             break  # every class is explained; deeper levels are not sliced
         pe = p**e
-        classes.append([ints[i::pe] for i in range(pe)])
+        classes.append([values[i::pe] for i in range(pe)])
         found = [(i, _best_relation(classes, e, i, min_support, c_bound)) for i in frontier]
         accepted.extend(rel for _i, rel in found if rel is not None)
         frontier = [i + t * pe for i, rel in found if rel is None for t in range(p)]
@@ -270,7 +267,7 @@ def mine_relations(
     return accepted
 
 
-def integer_matrix_rank(rows: list[list[int]]) -> tuple[int, list[int]]:
+def integer_matrix_rank(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     """Rank of an integer matrix by fraction-free elimination.
 
     Returns (rank, indices of input rows that became pivots).  All
@@ -319,7 +316,7 @@ def kernel_rank_last_index(p: Prime, max_e: int, prefix_len: int) -> int:
 def estimate_kernel_rank(table: ValuationTable, max_e: int, prefix_len: int) -> KernelRankEstimate:
     """Rank over the rationals of the kernel subsequences of a table.
 
-    Row (e, i) is the bounded class slice ``ints[i : i + p**e * prefix_len : p**e]``.
+    Row (e, i) is the bounded class slice ``values[i : i + p**e * prefix_len : p**e]``.
     Rows containing an infinite entry are excluded and reported in
     ``dropped``; rank over Q is exact by fraction-free elimination.
     """
@@ -333,15 +330,14 @@ def estimate_kernel_rank(table: ValuationTable, max_e: int, prefix_len: int) -> 
         raise ValueError(
             f"table too short: need index {needed} for max_e={max_e}, prefix_len={prefix_len}"
         )
-    ints = _ints(table)
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     labels: list[tuple[int, int]] = []
     dropped: list[tuple[int, int]] = []
     for e in range(max_e + 1):
         pe = p**e
         for i in range(pe):
-            row = ints[i : i + pe * prefix_len : pe]
-            if None in row:
+            row = table.values[i : i + pe * prefix_len : pe]
+            if INF in row:
                 dropped.append((e, i))
                 continue
             rows.append(row)

@@ -13,13 +13,13 @@ mathematical finding instead of an implementation bug.
 
 Valuations are computed and returned as plain ints, and no predictor keeps
 a value past its call.  Only the predictors at a rational point r add vp(r),
-which is infinite at r = 0: there they return ``INF`` at odd n, where
-P_n(0) = Q_n(0) = 0.
+which their ``PredictionContext`` computes once and which is infinite at
+r = 0: there they return ``INF`` at odd n, where P_n(0) = Q_n(0) = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (
@@ -60,7 +60,7 @@ def _require_odd_prime(p: Prime) -> None:
 
 @dataclass(frozen=True)
 class PredictionContext:
-    """Prime p and rational point r with vp(r) >= 1.
+    """Prime p and rational point r with vp(r) >= 1, and vp_r = vp(r).
 
     Construction is the one check of this hypothesis of Theorem 3 and
     Lemmas 8-9, so the predictors that take a context can assume it.
@@ -68,21 +68,22 @@ class PredictionContext:
 
     p: Prime
     r: Fraction
+    vp_r: int | float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", Fraction(self.r))
-        v = vp_rat(self.p, self.r)
-        if not v >= 1:
+        object.__setattr__(self, "vp_r", vp_rat(self.p, self.r))
+        if not self.vp_r >= 1:
             raise ValueError(
-                f"hypothesis violated: vp(r) >= 1 required, but v_{int(self.p)}({self.r}) = {v}")
+                f"hypothesis violated: vp(r) >= 1 required, but v_{int(self.p)}({self.r}) = {self.vp_r}")
 
 
-def _plus_vp_r(ctx: PredictionContext, v: int) -> int | PadicVal:
+def _plus_vp_r(ctx: PredictionContext, v: int) -> int | float:
     """vp(r) + v, or ``INF`` at r = 0."""
-    return INF if ctx.r == 0 else vp_rat(ctx.p, ctx.r).value + v
+    return INF if ctx.r == 0 else ctx.vp_r + v
 
 
-def predict_vp_legendre_general(ctx: PredictionContext, n: int) -> int | PadicVal:
+def predict_vp_legendre_general(ctx: PredictionContext, n: int) -> int | float:
     """vp(P_n(r)) for vp(r) >= 1, split over the parities of n and p = 2."""
     p = ctx.p
     if n % 2 == 0:
@@ -92,7 +93,7 @@ def predict_vp_legendre_general(ctx: PredictionContext, n: int) -> int | PadicVa
     return _plus_vp_r(ctx, v + _vp_nonzero(p, n) if p >= 3 else v + 1 - n)
 
 
-def predict_vp_legendre_general_oneline(ctx: PredictionContext, n: int) -> int | PadicVal:
+def predict_vp_legendre_general_oneline(ctx: PredictionContext, n: int) -> int | float:
     """Same prediction in one closed form:
     vp(2**-n * C(n, n//2)) + (n mod 2) * vp(r * (n+1))."""
     p = ctx.p
@@ -214,7 +215,7 @@ def predict_cube_sum_v3(n: int) -> int:
     return digit_sum(p3, (n + 1) // 2)
 
 
-def predict_vp_Q(ctx: PredictionContext, n: int) -> int | PadicVal:
+def predict_vp_Q(ctx: PredictionContext, n: int) -> int | float:
     """vp(Q_n(r)) = vp(2**n * P_n(r)) for vp(r) >= 1, by parity of n."""
     if n < 0:
         raise ValueError("index must be >= 0")

@@ -517,7 +517,7 @@ def iter_sequence_values(spec: SequenceSpec, stop: int, start: int = 0) -> Itera
 
 def iter_sequence_valuations(
     spec: SequenceSpec, p: Prime, stop: int, start: int = 0
-) -> Iterator[PadicVal]:
+) -> Iterator[int | float]:
     """vp of the exact sequence values for n in [start, stop)."""
     for val, _bits in iter_valuations_with_bits(spec, p, stop, start):
         yield val
@@ -525,7 +525,7 @@ def iter_sequence_valuations(
 
 def iter_valuations_with_bits(
     spec: SequenceSpec, p: Prime, stop: int, start: int = 0
-) -> Iterator[tuple[PadicVal, int]]:
+) -> Iterator[tuple[int | float, int]]:
     """Like ``iter_sequence_valuations`` but also reports, for each index,
     the bit length of the integer the stepper carried: a residue modulo a
     power of p, times small units since the last reduction, or U_n itself
@@ -547,11 +547,11 @@ def iter_valuations_with_bits(
 
 def _modular_valuations(
     spec: SequenceSpec, p: Prime, start: int, stop: int, raised: int | None = None
-) -> Iterator[tuple[PadicVal, int]]:
+) -> Iterator[tuple[int | float, int]]:
     """``iter_valuations_with_bits`` at the constant precision p**(L+S), with
     S raised by ``raised`` digits on the one restart; None on the first pass."""
     kind = _KINDS[spec.kind]
-    shift = vp_int(p, kind.base(spec.r)).value
+    shift = vp_int(p, kind.base(spec.r))
     step = kind.step(spec.r)
     k = len(step(0)[1])
     window = [kind.direct(n, spec.r) for n in reversed(range(k))]  # U_{k-1}, ..., U_0
@@ -562,7 +562,7 @@ def _modular_valuations(
     mod = p ** (loss + settles)
     vals = _Interned(PadicVal)  # one PadicVal per valuation the pass yields
     for n, w in enumerate(window[::-1][start:stop], start):  # exact seeds, exact valuations
-        yield (vals[vp_int(p, w).value - n * shift] if w else INF), w.bit_length()
+        yield (vals[vp_int(p, w) - n * shift] if w else INF), w.bit_length()
     zeros = [not w for w in window]  # the slots that hold an exact 0
     for n in range(k, stop):
         d, a = step(n)
@@ -590,7 +590,7 @@ def _modular_valuations(
 
 def _exact_valuations(
     spec: SequenceSpec, p: Prime, shift: int, start: int, stop: int
-) -> Iterator[tuple[PadicVal, int]]:
+) -> Iterator[tuple[int | float, int]]:
     """``iter_valuations_with_bits`` from the exact integers U_n."""
     vals = _Interned(PadicVal)
     for n, u in enumerate(_iter_scaled(spec, start, stop), start):

@@ -264,8 +264,8 @@ def verify_lemma6(p: Prime, lo: int, hi: int) -> VerificationReport:
         if m % 512 == 0:
             assert central == comb(2 * m, m), "ratio update drifted from comb()"
         odd = central * (2 * m + 1) // (m + 1)  # C(2m+1, m)
-        lhs = vp_int(p, 2 * m + 1).value + vp_int(p, central).value
-        mid = vp_int(p, m + 1).value + vp_int(p, odd).value
+        lhs = vp_int(p, 2 * m + 1) + vp_int(p, central)
+        mid = vp_int(p, m + 1) + vp_int(p, odd)
         num = 2 * digit_sum(p, m) - digit_sum(p, 2 * m + 1) + 1
         q, rem = divmod(num, int(p) - 1)
         if rem == 0 and lhs == mid == q:

@@ -136,6 +136,16 @@ class TestPadicValLaws:
         assert len({a, x}) == 1
         assert _differ(n, x, a) is None and _differ(n, a, x) is None
         assert _differ(n, x, INF) == Mismatch(n, str(x), "inf")
+        # a finite valuation is an int and INF the float infinity; both keep
+        # is_infinite and value, which the benchmark harness reads
+        assert isinstance(a, int) and type(a + 1) is int and type(a - b) is int
+        assert PadicVal.parse("inf") is INF and vp_int(Prime(3), 0) is INF
+        assert isinstance(INF, float) and INF == math.inf and str(INF) == "inf"
+        assert PadicVal(10**400) < INF
+        assert not a.is_infinite and a.value == x and type(a.value) is int
+        assert INF.is_infinite
+        with pytest.raises(ValueError):
+            INF.value
 
 
 class TestVp:

@@ -313,6 +313,24 @@ class TestIntReturns:
                 got = predict(ctx, n)
                 assert got is INF if n % 2 else type(got) is int, (predict.__name__, n)
 
+    @pytest.mark.parametrize("p,r", [(Prime(3), Fraction(9)), (Prime(2), Fraction(4, 3)),
+                                     (Prime(5), Fraction(-5, 7))])
+    def test_vp_r_is_computed_once_per_context(self, monkeypatch, p, r):
+        # vp(r) is fixed by the context, so an odd index adds the context's
+        # value instead of computing vp(r) again
+        ctx = PredictionContext(p, r)
+        odd = range(1, 2001, 2)
+        want = [[predict(ctx, n) for n in odd] for predict in RATIONAL_POINT]
+        calls = []
+
+        def counting_vp_rat(*args):
+            calls.append(args)
+            return vp_rat(*args)
+
+        monkeypatch.setattr("legval.predictors.vp_rat", counting_vp_rat)
+        got = [[predict(ctx, n) for n in odd] for predict in RATIONAL_POINT]
+        assert calls == [] and got == want
+
     @pytest.mark.parametrize("predict,lo", [
         (predict_vp_legendre_at_2, 10**6),
         (partial(predict_vp_legendre_general, PredictionContext(Prime(2), Fraction(2))), 2 * 10**6),
