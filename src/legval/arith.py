@@ -137,9 +137,9 @@ INF = _Infinity("inf")
 
 class _Interned(dict):
     """Maps a key to its one value, made by ``make(key)`` on first use.  Each
-    table load and each stream pass makes its own, so a table or a stream
-    shares one ``PadicVal`` per finite value, as it shares ``INF``, and none
-    outlives it."""
+    table build and each table load makes its own, so a table shares one
+    ``PadicVal`` per finite value, as it shares ``INF``, and none outlives
+    it; a valuation stream yields plain ints and keeps none."""
 
     def __init__(self, make):
         self.make = make

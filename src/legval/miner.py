@@ -1,11 +1,11 @@
 """Valuation tables, affine p-kernel relation mining, and kernel rank.
 
-A ``ValuationTable`` stores vp of a sequence's exact values on 0..N: ints,
-one shared ``PadicVal`` per distinct value whether the table was built from
-a valuation stream or loaded from a file, and ``INF``, the float infinity,
-at zeros.  The miner reads the entries as they are: the residue class
-p**e * n + i is the slice ``values[i::p**e]``.  It searches the table for
-affine relations of the single-term shape
+A ``ValuationTable`` stores vp of a sequence's exact values on 0..N: one
+shared ``PadicVal`` per distinct finite value, interned by ``build_table``
+or ``load``, and ``INF``, the float infinity, at zeros, tested by value.
+The miner reads the entries as they are: the residue class p**e * n + i is
+the slice ``values[i::p**e]``.  It searches the table for affine relations
+of the single-term shape
 
     V(p**e * n + i) = V(p**e2 * n + j) + c      for all n,
 
@@ -122,7 +122,8 @@ def build_table(spec: SequenceSpec, p: Prime, N: int, *, jobs: int = 1) -> Valua
     """
     if N < 0:
         raise ValueError("table length must be >= 0")
-    return ValuationTable(spec, p, tuple(v for v, _bits in iter_valuations_with_bits(spec, p, N + 1)))
+    vals = _Interned(lambda v: v if v == INF else PadicVal(v))  # one PadicVal per value, as in ``load``
+    return ValuationTable(spec, p, tuple(vals[v] for v, _bits in iter_valuations_with_bits(spec, p, N + 1)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def verify_relation(table: ValuationTable, cand: RelationCandidate) -> MinedRela
     if not 0 <= cand.i < pe or not 0 <= cand.j < pe2:
         raise ValueError(f"candidate offsets out of range for p={int(p)}: {cand}")
     lhs, rhs = table.values[cand.i::pe], table.values[cand.j::pe2]
-    finite = [(a, b) for a, b in zip(lhs, rhs) if a is not INF and b is not INF]
+    finite = [(a, b) for a, b in zip(lhs, rhs) if a != INF != b]
     violations = sum(a != b + cand.c for a, b in finite)
     return MinedRelation(cand, len(finite), violations, min(len(lhs), len(rhs)) - len(finite))
 
@@ -199,7 +200,7 @@ def _best_relation(
             c = None
             support = 0
             for lhs, rhs in zip(lhs_class, rhs_class):
-                if lhs is INF or rhs is INF:
+                if lhs == INF or rhs == INF:
                     continue
                 diff = lhs - rhs
                 if c is None:

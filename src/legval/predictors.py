@@ -34,6 +34,8 @@ from .arith import (
     vp_rat,
 )
 
+_TWO, _THREE = Prime(2), Prime(3)  # made once: a Prime tests primality when it is made
+
 __all__ = [
     "PredictionContext",
     "predict_vp_legendre_general",
@@ -136,7 +138,7 @@ def predict_vp_legendre_at_2(n: int) -> int:
     """v2(P_n(2)) = (n mod 2) - v2(n!); negative from n = 2 on."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return n % 2 - factorial_valuation_digits(Prime(2), n)
+    return n % 2 - factorial_valuation_digits(_TWO, n)
 
 
 def recurrence_step(p: Prime, f_n: PadicVal, n: int, a: int) -> PadicVal:
@@ -201,18 +203,16 @@ def predict_strauss_shallit(n: int) -> int:
     v3(C(2n,n)) + 2*v3(n), for n >= 1."""
     if n < 1:
         raise ValueError("defined for n >= 1 only (the empty sum is zero)")
-    p3 = Prime(3)
-    return binomial_valuation_digits(p3, 2 * n, n) + 2 * _vp_nonzero(p3, n)
+    return binomial_valuation_digits(_THREE, 2 * n, n) + 2 * _vp_nonzero(_THREE, n)
 
 
 def predict_cube_sum_v3(n: int) -> int:
     """Conjectured v3 of sum C(n,k)**3 * 2**k, via base-3 digit sums."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    p3 = Prime(3)
     if n % 6 == 5:
-        return digit_sum(p3, (n - 1) // 2) + 1
-    return digit_sum(p3, (n + 1) // 2)
+        return digit_sum(_THREE, (n - 1) // 2) + 1
+    return digit_sum(_THREE, (n + 1) // 2)
 
 
 def predict_vp_Q(ctx: PredictionContext, n: int) -> int | float:

@@ -26,18 +26,18 @@ reads it, and it is the fallback and the test oracle of the other.
 ``iter_valuations_with_bits``, behind every valuation stream, carries U_n
 only modulo p**P and up to a p-adic unit, so its steps work on small numbers
 and its answers stay exact (precision tracked as in X. Caruso, *Computations
-with p-adic numbers*, 2017).  P is a constant, L plus a margin of a few
-dozen digits, where L bounds the digits the transition matrices of the
-recurrence lose to index N: a bound the comment above ``_Kind`` proves
-(O(log N) for legendre and q unless p is odd and divides b, cigler unless
-p is odd and divides 2b - a, delannoy and dsum at every p; about N/2 for
-cube2k at p = 3), and elsewhere the trivial bound, every division by p the
-range makes, O(N) digits.  Both steppers start from U_0, ..., U_{k-1} at
-n = 0, whatever index a range starts at, and yield from its start, so a
-range that ends at n costs n steps.  An index a valuation stream cannot settle
-hands the rest of its range on in one order: to the same stepper with the
-margin raised by the trivial bound, stepped again from n = 0, and from
-there to the exact ``_iter_scaled``.
+with p-adic numbers*, 2017); it yields each valuation as a plain int, and
+``INF`` at an exact zero.  P is a constant, L plus a margin of a few dozen
+digits, where L bounds the digits the transition matrices of the recurrence
+lose to index N: a bound the comment above ``_Kind`` proves (O(log N) for
+legendre and q unless p is odd and divides b, cigler unless p is odd and
+divides 2b - a, delannoy and dsum at every p; about N/2 for cube2k at
+p = 3), and elsewhere the trivial bound, every division by p the range
+makes, O(N) digits.  Both steppers start from U_0, ..., U_{k-1} at n = 0
+and yield from a range's start, so a range that ends at n costs n steps.
+An index a valuation stream cannot settle hands the rest of its range on
+in one order: to the same stepper with the margin raised by the trivial
+bound, stepped again from n = 0, then to the exact ``_iter_scaled``.
 ``eval_sequence`` reads a record's summation and base.  The direct formulas
 stay the independent oracle the test suite checks the steppers against.
 """
@@ -53,7 +53,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator
 
-from .arith import INF, PadicVal, Prime, _Interned, _vp_nonzero, vp_int
+from .arith import INF, Prime, _vp_nonzero, vp_int
 
 __all__ = [
     "SequenceKind",
@@ -533,12 +533,12 @@ def iter_valuations_with_bits(
 
     Steps the recurrence modulo a constant p**Q from n = 0 (see the comment
     block above ``_Kind``) and yields from ``start`` on.  Each step settles
-    on a plain-int valuation, and a pass yields one shared ``PadicVal`` per
-    distinct value.  An index whose residue leaves its valuation
-    undetermined, and is not an exact zero, hands the rest of the range,
-    from that index or from ``start`` if it is later, on: once to the same
-    stepper with its margin raised by the trivial bound, stepped again from
-    n = 0, and from there to the exact stepper ``_iter_scaled``."""
+    on a plain int, yielded as it is, or on ``INF`` at an exact zero, so a
+    pass keeps nothing it has yielded.  An index whose residue leaves its
+    valuation undetermined, and is not an exact zero, hands the rest of the
+    range, from that index or from ``start`` if it is later, on: once to the
+    same stepper with its margin raised by the trivial bound, stepped again
+    from n = 0, and from there to the exact stepper ``_iter_scaled``."""
     if start < 0 or stop < start:
         raise ValueError(f"bad index range [{start}, {stop})")
     # returned, not yielded from: delegating would pass every step through one more frame
@@ -560,9 +560,8 @@ def _modular_valuations(
         loss = _vp_steps(step, p, k, stop)
     settles = _MARGIN + (raised or 0) + max((_split(p, w)[0] for w in window if w), default=0)
     mod = p ** (loss + settles)
-    vals = _Interned(PadicVal)  # one PadicVal per valuation the pass yields
     for n, w in enumerate(window[::-1][start:stop], start):  # exact seeds, exact valuations
-        yield (vals[vp_int(p, w) - n * shift] if w else INF), w.bit_length()
+        yield (vp_int(p, w) - n * shift if w else INF), w.bit_length()
     zeros = [not w for w in window]  # the slots that hold an exact 0
     for n in range(k, stop):
         d, a = step(n)
@@ -581,7 +580,7 @@ def _modular_valuations(
                 yield from _exact_valuations(spec, p, shift, max(n, start), stop)
             return
         if n >= start:
-            yield (INF if zero else vals[v - n * shift]), y.bit_length()
+            yield (INF if zero else v - n * shift), y.bit_length()
         window = [y] + [u * w for w in window[:-1]]  # y carries the unit λ*u: so must the rest
         zeros = [zero] + zeros[:-1]
         if not n % _REDUCE_EVERY:
@@ -592,6 +591,5 @@ def _exact_valuations(
     spec: SequenceSpec, p: Prime, shift: int, start: int, stop: int
 ) -> Iterator[tuple[int | float, int]]:
     """``iter_valuations_with_bits`` from the exact integers U_n."""
-    vals = _Interned(PadicVal)
     for n, u in enumerate(_iter_scaled(spec, start, stop), start):
-        yield (vals[_vp_nonzero(p, u) - n * shift] if u else INF), u.bit_length()
+        yield (_vp_nonzero(p, u) - n * shift if u else INF), u.bit_length()

@@ -3,17 +3,19 @@
 Each campaign sweeps an inclusive index range, compares a predictor with the
 independently computed exact valuation (or two independent exact evaluations
 with each other), and returns a ``VerificationReport`` listing every
-mismatch.  Campaigns for open conjectures report a mismatch as
-``counterexample-found`` rather than ``fail`` and dump the full exact value
-so the finding can be scrutinized independently of this code.
+mismatch.  Exact valuations come from one stream, read as each index is
+checked, so no campaign holds a table but thm6, which reads n and p*n + a.
+Open conjectures report a mismatch as ``counterexample-found``, not
+``fail``, with the full exact value dumped for independent scrutiny.
 """
 
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .arith import Prime, digit_sum, unlimited_int_digits, vp_int, vp_rat
@@ -152,35 +154,38 @@ def _range_params(lo: int, hi: int, **extra: str) -> dict[str, str]:
     return params
 
 
+def _valuations(spec: SequenceSpec, p: Prime, indices: range) -> Iterator[tuple[int, int | float]]:
+    """(n, vp at n) for each n of ``indices``, a range of step 1 or 2, from one stream."""
+    vals = iter_sequence_valuations(spec, p, indices.stop, indices.start)
+    return zip(indices, islice(vals, 0, None, indices.step))
+
+
 def verify_thm4(p: Prime, lo: int, hi: int) -> VerificationReport:
     """All three predictors for vp(P_n(p)), odd p, against the exact oracle."""
     p = _require_odd(p, "thm4")
     params = _range_params(lo, hi, p=str(int(p)))
-    table = build_table(SequenceSpec.legendre(p), p, hi)
     return _report("thm4", params, hi - lo + 1, (_differ(n, {
         "cases": predict_vp_legendre_at_p_cases(p, n),
         "digits": predict_vp_legendre_at_p_digits(p, n),
         "recurrence": predict_by_recurrence(p, n),
-    }, table.values[n]) for n in range(lo, hi + 1)))
+    }, actual) for n, actual in _valuations(SequenceSpec.legendre(p), p, range(lo, hi + 1))))
 
 
 def verify_thm5(lo: int, hi: int) -> VerificationReport:
     """The 2-adic formula for vp(P_n(2)) against the exact oracle."""
     params = _range_params(lo, hi)
-    table = build_table(SequenceSpec.legendre(2), Prime(2), hi)
-    return _report("thm5", params, hi - lo + 1, (
-        _differ(n, predict_vp_legendre_at_2(n), table.values[n]) for n in range(lo, hi + 1)))
+    return _report("thm5", params, hi - lo + 1, (_differ(n, predict_vp_legendre_at_2(n), actual)
+        for n, actual in _valuations(SequenceSpec.legendre(2), Prime(2), range(lo, hi + 1))))
 
 
 def verify_thm3(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport:
     """Both general predictors for vp(P_n(r)), vp(r) >= 1, against the oracle."""
     ctx = _context(p, r)
     params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
-    table = build_table(SequenceSpec.legendre(r), p, hi)
     return _report("thm3", params, hi - lo + 1, (_differ(n, {
         "cases": predict_vp_legendre_general(ctx, n),
         "oneline": predict_vp_legendre_general_oneline(ctx, n),
-    }, table.values[n]) for n in range(lo, hi + 1)))
+    }, actual) for n, actual in _valuations(SequenceSpec.legendre(r), p, range(lo, hi + 1))))
 
 
 def verify_thm6(p: Prime, lo: int, hi: int) -> VerificationReport:
@@ -215,9 +220,8 @@ def verify_conj1(lo: int, hi: int, against: str = "oracle") -> VerificationRepor
     params = _range_params(lo, hi, against=against)
     p3 = Prime(3)
     if against == "oracle":
-        table = build_table(SequenceSpec.delannoy(), p3, hi)
-        return _report("conj1", params, hi - lo + 1, (
-            _differ(i, predict_b_conjecture1(i), table.values[i]) for i in range(lo, hi + 1)))
+        return _report("conj1", params, hi - lo + 1, (_differ(i, predict_b_conjecture1(i), actual)
+            for i, actual in _valuations(SequenceSpec.delannoy(), p3, range(lo, hi + 1))))
     bs = predict_b_conjecture1_prefix(hi + 1)
     digits = predict_vp_legendre_at_p_digits_prefix(p3, hi + 1)
     # a sweep of up to millions of indices: compare whole lists, build only mismatches
@@ -226,13 +230,11 @@ def verify_conj1(lo: int, hi: int, against: str = "oracle") -> VerificationRepor
 
 
 def verify_conj2(lo: int, hi: int) -> VerificationReport:
-    """Open conjecture: digit formula for v3 of sum C(n,k)**3 * 2**k.
-
-    A mismatch dumps the full exact integer, summed directly, for scrutiny.
-    """
+    """Open conjecture: digit formula for v3 of sum C(n,k)**3 * 2**k.  A
+    mismatch dumps the full exact integer, summed directly, for scrutiny."""
     params = _range_params(lo, hi)
-    vals = iter_sequence_valuations(SequenceSpec.cube2k(), Prime(3), hi + 1, lo)
-    mismatches = (_differ(n, predict_cube_sum_v3(n), actual) for n, actual in zip(range(lo, hi + 1), vals))
+    mismatches = (_differ(n, predict_cube_sum_v3(n), actual)
+                  for n, actual in _valuations(SequenceSpec.cube2k(), Prime(3), range(lo, hi + 1)))
     return _report("conj2", params, hi - lo + 1, (
         m and replace(m, detail=f"value={cube_sum_2k(m.n)}") for m in mismatches))
 
@@ -242,9 +244,8 @@ def verify_strauss(lo: int, hi: int) -> VerificationReport:
     if lo < 1:
         raise UsageError("strauss is defined for n >= 1 (the n = 0 sum is zero)")
     params = _range_params(lo, hi)
-    vals = iter_sequence_valuations(SequenceSpec.dsum(), Prime(3), hi + 1, lo)
-    return _report("strauss", params, hi - lo + 1, (
-        _differ(n, predict_strauss_shallit(n), actual) for n, actual in zip(range(lo, hi + 1), vals)))
+    return _report("strauss", params, hi - lo + 1, (_differ(n, predict_strauss_shallit(n), actual)
+        for n, actual in _valuations(SequenceSpec.dsum(), Prime(3), range(lo, hi + 1))))
 
 
 def verify_lemma6(p: Prime, lo: int, hi: int) -> VerificationReport:
@@ -279,10 +280,9 @@ def _verify_q_parity(theorem_id: str, parity: int, p: Prime, r: Fraction,
                      lo: int, hi: int) -> VerificationReport:
     ctx = _context(p, r)
     params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
-    table = build_table(SequenceSpec.q(r), p, hi)
     indices = range(lo + (lo + parity) % 2, hi + 1, 2)
-    return _report(theorem_id, params, len(indices), (
-        _differ(n, predict_vp_Q(ctx, n), table.values[n]) for n in indices))
+    return _report(theorem_id, params, len(indices), (_differ(n, predict_vp_Q(ctx, n), actual)
+        for n, actual in _valuations(SequenceSpec.q(r), p, indices)))
 
 
 def verify_lemma8(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport:

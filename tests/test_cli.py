@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -380,6 +382,22 @@ class TestBounds:
         mine = ["--cache", str(tmp_path), "mine", "--seq", "dsum", "--p", "3", "--N"]
         assert run(capsys, *mine, "2000")[0] == 0
         assert run(capsys, *mine, "-1") == (2, "", "error: table length must be >= 0\n")
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_quietly(self):
+        # as in `legval predict ... | head -1`: the reader closes the pipe
+        # after one line, and the writer stops with exit 0 and no traceback
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["predict", "--predictor", "thm5", "--n", "0..200000"]
+        proc = subprocess.Popen([sys.executable, "-c", "from legval.cli import entry; entry()", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"0 0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (0, b"")
 
 
 def readme_examples() -> list[tuple[list[str], str]]:

@@ -261,7 +261,7 @@ class TestBuildTable:
                                          (SequenceSpec.legendre(3), 3), (SequenceSpec.legendre(0), 5)],
                              ids=lambda x: x.canonical() if isinstance(x, SequenceSpec) else str(x))
     def test_equal_valuations_are_one_object(self, spec, p, tmp_path):
-        # a stream makes one PadicVal per distinct valuation; each still
+        # a build makes one PadicVal per distinct valuation; each still
         # equals a fresh PadicVal, and a saved table reads back byte-exact
         from legval.arith import vp_rat
         from legval.sequences import iter_sequence_values
@@ -286,6 +286,22 @@ class TestBuildTable:
         t = build_table(spec, P3, 60)
         for n in range(61):
             assert t.values[n] == vp_rat(P3, eval_sequence(spec, n))
+
+
+class TestInfinityByValue:
+    def test_math_inf_entries_read_as_infinite(self):
+        # a table that holds math.inf where a build holds INF compares equal
+        # to it, and must mine and verify the same
+        import math
+
+        table = build_table(SequenceSpec.legendre(0), P3, 3000)
+        floats = ValuationTable(table.spec, P3, tuple(math.inf if v is INF else v for v in table.values))
+        assert floats == table and math.inf in floats.values and INF is not math.inf
+        mined = mine_relations(table, 2)
+        assert len(mined) == 5
+        assert mine_relations(floats, 2) == mined
+        cand = RelationCandidate(1, 0, 0, 0, 0)  # V(3n) = V(n); both sides infinite at odd n
+        assert verify_relation(floats, cand) == verify_relation(table, cand) == MinedRelation(cand, 501, 0, 500)
 
 
 class TestPersistence:

@@ -331,6 +331,18 @@ class TestIntReturns:
         got = [[predict(ctx, n) for n in odd] for predict in RATIONAL_POINT]
         assert calls == [] and got == want
 
+    def test_fixed_prime_predictors_make_no_prime(self, monkeypatch):
+        # thm5, strauss and conj2 read module constants: a Prime made per
+        # call would test primality again on every call
+        fixed = [predict_vp_legendre_at_2, predict_strauss_shallit, predict_cube_sum_v3]
+        want = [[predict(n) for n in range(1, 200)] for predict in fixed]
+
+        def refuse(value):
+            raise AssertionError(f"Prime({value}) made per call")
+
+        monkeypatch.setattr("legval.predictors.Prime", refuse)
+        assert [[predict(n) for n in range(1, 200)] for predict in fixed] == want
+
     @pytest.mark.parametrize("predict,lo", [
         (predict_vp_legendre_at_2, 10**6),
         (partial(predict_vp_legendre_general, PredictionContext(Prime(2), Fraction(2))), 2 * 10**6),

@@ -355,6 +355,40 @@ class TestIterators:
         assert vals[2] == 1
 
 
+class TestPlainIntStreams:
+    """A valuation stream yields each finite valuation as a plain int and
+    ``INF`` at a zero, and keeps none of the values it has yielded."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["modular", "exact"])
+    @pytest.mark.parametrize("spec,p", [(SequenceSpec.legendre(2), Prime(2)), (SequenceSpec.legendre(0), Prime(3))],
+                             ids=lambda x: x.canonical() if isinstance(x, SequenceSpec) else str(int(x)))
+    def test_finite_valuations_are_plain_ints(self, spec, p, exact, monkeypatch):
+        from legval import sequences
+
+        if exact:  # no margin and a trivial bound of 0 hand the range to the exact stepper
+            monkeypatch.setattr(sequences, "_MARGIN", 0)
+            monkeypatch.setattr(sequences, "_vp_steps", lambda step, p, lo, hi: 0)
+        got = list(iter_sequence_valuations(spec, p, 300))
+        assert got == exact_valuations(spec, p, 300)
+        assert all(type(v) is int for v in got if v != INF)
+        assert all(v is INF for v in got if v == INF)
+        assert got.count(INF) == (150 if spec.r == 0 else 0)  # P_n(0) = 0 at every odd n
+
+    def test_stream_holds_no_value_it_yielded(self):
+        # v2(P_n(2)) = (n mod 2) - v2(n!) takes about 10**5 distinct values
+        # here; one object kept per value would take several MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            for _v in iter_sequence_valuations(SequenceSpec.legendre(2), Prime(2), 10**5):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 JUMP_SPECS = [
     SequenceSpec.legendre(3),
     SequenceSpec.legendre(Fraction(3, 5)),
@@ -389,7 +423,7 @@ class TestJumpAhead:
             assert [val for val, _bits in got] == [vp_rat(p, v) for v in values]
             # bits: the length of the integer the stepper carried (a residue
             # modulo a power of p), > 0 for a finite valuation and 0 for inf
-            assert all((bits > 0) != val.is_infinite for val, bits in got)
+            assert all((bits > 0) != (val is INF) for val, bits in got)
 
     @pytest.mark.parametrize("spec", JUMP_SPECS, ids=SequenceSpec.canonical)
     def test_short_ranges(self, spec):
@@ -675,8 +709,11 @@ class TestModularStepper:
     def test_exact_fallback_shares_one_value_per_valuation(self, spec, p, monkeypatch):
         # no margin and a trivial bound of 0 leave an early index undetermined
         # on both passes, so the exact stepper yields the rest of the range,
-        # in which valuations repeat
+        # in which valuations repeat; the table built from it shares one
+        # PadicVal per value
         from legval import sequences
+        from legval.arith import PadicVal
+        from legval.miner import build_table
 
         fallbacks = []
         exact = sequences._exact_valuations
@@ -689,13 +726,14 @@ class TestModularStepper:
         monkeypatch.setattr(sequences, "_vp_steps", lambda step, p, lo, hi: 0)
         monkeypatch.setattr(sequences, "_exact_valuations", counted)
         N = 300
-        got = [v for v, _bits in sequences.iter_valuations_with_bits(spec, p, N)]
+        got = list(build_table(spec, p, N - 1).values)
         assert got == exact_valuations(spec, p, N)
         [start] = fallbacks
         assert start <= 3
         if spec.r == 0:  # U_n = 0 at every odd n
             assert all(v is INF for v in got[1::2])
         finite = [v for v in got[start:] if not v.is_infinite]
+        assert all(type(v) is PadicVal for v in finite)
         assert len({id(v) for v in finite}) == len(set(finite)) < len(finite)
 
     @pytest.mark.parametrize("spec", [SequenceSpec.legendre(2), SequenceSpec.q(Fraction(4, 3)),

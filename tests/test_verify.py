@@ -95,6 +95,30 @@ class TestCampaignsPass:
         assert verify_formula_agreement(0, 25).status == "pass"
 
 
+class TestStreamedCampaigns:
+    def test_thm5_holds_no_table(self):
+        # the campaign reads each valuation from the stream as it checks it;
+        # a table of 10**5 + 1 entries, or one object per distinct value,
+        # would take several MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            report = verify_thm5(0, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.status, report.checked) == ("pass", 10**5 + 1)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("lo,hi,checked", [(1, 1, 0), (0, 0, 1), (1, 2, 1), (3, 9, 3)])
+    def test_even_indices_of_short_ranges(self, lo, hi, checked):
+        # lemma8 reads every second index of the q stream; a range with no
+        # even index checks none and passes
+        report = verify_lemma8(Prime(3), Fraction(3), lo, hi)
+        assert (report.status, report.checked) == ("pass", checked)
+
+
 class TestHypothesisRejection:
     def test_thm3_low_valuation(self):
         with pytest.raises(UsageError, match="vp"):
