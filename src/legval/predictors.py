@@ -11,10 +11,10 @@ implement conjectures rather than proved theorems; their campaigns in
 ``legval.verify`` are flagged conjectural, so a mismatch is reported as a
 mathematical finding instead of an implementation bug.
 
-Valuations are computed and returned as plain ints, and no predictor keeps
-a value past its call.  Only the predictors at a rational point r add vp(r),
-which their ``PredictionContext`` computes once and which is infinite at
-r = 0: there they return ``INF`` at odd n, where P_n(0) = Q_n(0) = 0.
+Valuations are computed, taken and returned as plain ints, and no predictor
+keeps a value past its call.  Only the predictors at a rational point r add
+vp(r), which their ``PredictionContext`` computes once and which is infinite
+at r = 0: there they return ``INF`` at odd n, where P_n(0) = Q_n(0) = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .arith import (
     INF,
-    PadicVal,
     Prime,
     _vp_nonzero,
     binomial_valuation_digits,
@@ -141,14 +140,16 @@ def predict_vp_legendre_at_2(n: int) -> int:
     return n % 2 - factorial_valuation_digits(_TWO, n)
 
 
-def recurrence_step(p: Prime, f_n: PadicVal, n: int, a: int) -> PadicVal:
-    """One base-p descent step: the valuation at index p*n + a from the
+def recurrence_step(p: Prime, f_n: int, n: int, a: int) -> int:
+    """One base-p descent step: the int valuation at index p*n + a from the
     valuation f_n at index n, for odd p and digit 0 <= a < p; an infinite
-    f_n raises ``ValueError``."""
+    f_n (``INF`` or ``math.inf``) raises ``ValueError``."""
     _require_odd_prime(p)
     if not 0 <= a < p:
         raise ValueError(f"digit a must satisfy 0 <= a < p, got a={a}, p={int(p)}")
-    return PadicVal(f_n.value + (n + a) % 2)
+    if f_n == INF:
+        raise ValueError("valuation is infinite")
+    return f_n + (n + a) % 2
 
 
 def predict_by_recurrence(p: Prime, n: int) -> int:

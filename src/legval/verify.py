@@ -3,8 +3,8 @@
 Each campaign sweeps an inclusive index range, compares a predictor with the
 independently computed exact valuation (or two independent exact evaluations
 with each other), and returns a ``VerificationReport`` listing every
-mismatch.  Exact valuations come from one stream, read as each index is
-checked, so no campaign holds a table but thm6, which reads n and p*n + a.
+mismatch.  Exact valuations come from streams, read as each index is
+checked, so no campaign holds a table; thm6 reads n and p*n + a from two.
 Open conjectures report a mismatch as ``counterexample-found``, not
 ``fail``, with the full exact value dumped for independent scrutiny.
 """
@@ -19,7 +19,7 @@ from itertools import islice
 from math import comb
 
 from .arith import Prime, digit_sum, unlimited_int_digits, vp_int, vp_rat
-from .miner import build_table
+from .miner import build_table  # not called here; bench/tracing.py patches verify.build_table
 from .predictors import (
     PredictionContext,
     predict_b_conjecture1,
@@ -192,10 +192,12 @@ def verify_thm6(p: Prime, lo: int, hi: int) -> VerificationReport:
     """The digit recurrence step f(pn+a) from f(n), against the exact oracle."""
     p = _require_odd(p, "thm6")
     params = _range_params(lo, hi, p=str(int(p)))
-    table = build_table(SequenceSpec.legendre(p), p, int(p) * hi + int(p) - 1)
-    return _report("thm6", params, (hi - lo + 1) * int(p), (_differ(
-        int(p) * n + a, recurrence_step(p, table.values[n], n, a), table.values[int(p) * n + a],
-        detail=f"n={n} a={a}") for n in range(lo, hi + 1) for a in range(int(p))))
+    spec, q = SequenceSpec.legendre(p), int(p)
+    children = zip(*[_valuations(spec, p, range(q * lo, q * hi + q))] * q)  # p*n + a, p at a time
+    return _report("thm6", params, (hi - lo + 1) * q, (_differ(
+        m, recurrence_step(p, f_n, n, a), actual, detail=f"n={n} a={a}")
+        for (n, f_n), kids in zip(_valuations(spec, p, range(lo, hi + 1)), children)
+        for a, (m, actual) in enumerate(kids)))
 
 
 def verify_thm7(p: Prime, lo: int, hi: int) -> VerificationReport:

@@ -33,13 +33,17 @@ def test_install_then_uninstall_restores_every_patch(tracing, capsys):
         assert cli.main(argv) == 0
         assert cli.main(["--no-timestamp", "verify", "--theorem", "thm6", "--p", "3", "--n", "0..2"]) == 0
         assert cli.main(["predict", "--predictor", "q", "--p", "3", "--r", "9", "--n", "0..4"]) == 0
+        argv = ["--no-timestamp", "rank", "--seq", "legendre", "--r", "3", "--p", "3", "--max-e", "1",
+                "--prefix-len", "3"]
+        assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert len(patched) == 49
     assert all(owner.__dict__[attr] is original for owner, attr, original in patched)
-    # lemma9 checks the odd n in 0..6 on a stream, with no table; thm6 checks
-    # 3n + a for n in 0..2 on a table of 0..8; predict runs 5 indices
+    # lemma9 checks the odd n in 0..6 and thm6 the 3n + a for n in 0..2, both
+    # on streams with no table; predict runs 5 indices; rank builds a table of
+    # 0..8 and calls no predictor
     assert tracer.count["verify.checked"] == 3 + 9
     assert tracer.count["miner.build_indices"] == 9
     assert tracer.count["predictors.calls"] == 3 + 9 + 5

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -28,6 +29,7 @@ from legval.sequences import (
     cigler_eval,
     cube_sum_2k,
     eval_sequence,
+    iter_sequence_valuations,
     legendre_eval_rodrigues,
     partial_sum_central_binomial,
 )
@@ -159,8 +161,16 @@ class TestRecurrence:
             recurrence_step(Prime(3), PadicVal(0), 1, 3)
         with pytest.raises(ValueError):
             recurrence_step(Prime(3), PadicVal(0), 1, -1)
-        with pytest.raises(ValueError):
-            recurrence_step(Prime(3), INF, 1, 0)
+        for infinite in (INF, math.inf):
+            with pytest.raises(ValueError, match="infinite"):
+                recurrence_step(Prime(3), infinite, 1, 0)
+
+    def test_step_takes_and_returns_plain_ints(self):
+        got = recurrence_step(Prime(3), 1, 1, 0)
+        assert type(got) is int and got == 2
+        # the valuation at 0 as a stream yields it, a plain int
+        f_0 = next(iter_sequence_valuations(SequenceSpec.legendre(3), Prime(3), 1))
+        assert recurrence_step(Prime(3), f_0, 0, 1) == 1
 
     def test_step_against_oracle(self):
         p = Prime(3)
