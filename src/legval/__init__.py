@@ -12,7 +12,7 @@ from .arith import (
     Prime,
     binomial_valuation_digits,
     digit_sum,
-    digit_sum_prefix,
+    digit_sums,
     factorial_valuation_digits,
     factorial_valuation_floor,
     kummer_carries,
@@ -35,7 +35,7 @@ from .oeis import BFileError, BFileRecord, oeis_check, parse_bfile
 from .predictors import (
     PredictionContext,
     predict_b_conjecture1,
-    predict_b_conjecture1_prefix,
+    predict_b_conjecture1_range,
     predict_by_recurrence,
     predict_cube_sum_v3,
     predict_strauss_shallit,
@@ -44,7 +44,7 @@ from .predictors import (
     predict_vp_legendre_at_2,
     predict_vp_legendre_at_p_cases,
     predict_vp_legendre_at_p_digits,
-    predict_vp_legendre_at_p_digits_prefix,
+    predict_vp_legendre_at_p_digits_range,
     predict_vp_legendre_general,
     predict_vp_legendre_general_oneline,
     recurrence_step,

@@ -28,7 +28,7 @@ from .arith import (
     _vp_nonzero,
     binomial_valuation_digits,
     digit_sum,
-    digit_sum_prefix,
+    digit_sums,
     factorial_valuation_digits,
     vp_rat,
 )
@@ -41,12 +41,12 @@ __all__ = [
     "predict_vp_legendre_general_oneline",
     "predict_vp_legendre_at_p_cases",
     "predict_vp_legendre_at_p_digits",
-    "predict_vp_legendre_at_p_digits_prefix",
+    "predict_vp_legendre_at_p_digits_range",
     "predict_vp_legendre_at_2",
     "recurrence_step",
     "predict_by_recurrence",
     "predict_b_conjecture1",
-    "predict_b_conjecture1_prefix",
+    "predict_b_conjecture1_range",
     "predict_strauss_shallit",
     "predict_cube_sum_v3",
     "predict_vp_Q",
@@ -123,14 +123,17 @@ def predict_vp_legendre_at_p_digits(p: Prime, n: int) -> int:
     return q
 
 
-def predict_vp_legendre_at_p_digits_prefix(p: Prime, count: int) -> list[int]:
-    """The digit-formula values for n = 0 .. count-1 in one batch sweep."""
+def predict_vp_legendre_at_p_digits_range(p: Prime, lo: int, hi: int) -> list[int]:
+    """The digit-formula values for n in [lo, hi), batched from the even start lo - lo % 2."""
     _require_odd_prime(p)
-    s = digit_sum_prefix(p, count)
-    pm1 = p - 1
-    return [
-        (2 * s[n >> 1] - s[n] + (n & 1) * p) // pm1 for n in range(count)
-    ]
+    if lo < 0 or hi < lo:
+        raise ValueError(f"bad index range [{lo}, {hi})")
+    a = lo - lo % 2
+    s, half, pm1 = digit_sums(p, a, hi), digit_sums(p, a // 2, (hi + 1) // 2), p - 1
+    out = [0] * len(s)
+    out[0::2] = [(2 * h - t) // pm1 for h, t in zip(half, s[0::2])]
+    out[1::2] = [(2 * h - t + p) // pm1 for h, t in zip(half, s[1::2])]
+    return out[lo - a:]
 
 
 def predict_vp_legendre_at_2(n: int) -> int:
@@ -186,17 +189,19 @@ def predict_b_conjecture1(i: int) -> int:
     return b
 
 
-def predict_b_conjecture1_prefix(count: int) -> list[int]:
-    """b(0) .. b(count-1) bottom-up; same recurrence, O(count) total."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    out = [0] * count
-    for i in range(1, count):
-        if i % 3 == 1:
-            out[i] = out[i // 9] + 1
-        else:
-            out[i] = out[i // 3] + (i // 3) % 2
-    return out
+def predict_b_conjecture1_range(lo: int, hi: int) -> list[int]:
+    """b(lo) .. b(hi-1) from the ranges of the thirds t and the ninths t // 3,
+    by b(3t) = b(3t+2) = b(t) + (t mod 2) and b(3t+1) = b(t // 3) + 1."""
+    if lo < 0 or hi < lo:
+        raise ValueError(f"bad index range [{lo}, {hi})")
+    if hi - lo < 32:  # too short to pay for two sub-ranges and their slices
+        return [predict_b_conjecture1(i) for i in range(lo, hi)]
+    t0, t1 = lo // 3, -(-hi // 3)  # the thirds of [3*t0, 3*t1), which holds [lo, hi)
+    thirds, ninths = predict_b_conjecture1_range(t0, t1), predict_b_conjecture1_range(t0 // 3, -(-t1 // 3))
+    out = [0] * (3 * (t1 - t0))
+    out[0::3] = out[2::3] = [b + t % 2 for t, b in enumerate(thirds, t0)]
+    out[1::3] = [ninths[t // 3 - t0 // 3] + 1 for t in range(t0, t1)]
+    return out[lo - 3 * t0:hi - 3 * t0]
 
 
 def predict_strauss_shallit(n: int) -> int:

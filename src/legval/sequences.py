@@ -50,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterator
 
 from .arith import INF, Prime, _vp_nonzero, vp_int
@@ -519,8 +519,7 @@ def iter_sequence_valuations(
     spec: SequenceSpec, p: Prime, stop: int, start: int = 0
 ) -> Iterator[int | float]:
     """vp of the exact sequence values for n in [start, stop)."""
-    for val, _bits in iter_valuations_with_bits(spec, p, stop, start):
-        yield val
+    return map(itemgetter(0), iter_valuations_with_bits(spec, p, stop, start))
 
 
 def iter_valuations_with_bits(

@@ -2,11 +2,11 @@
 
 Each campaign sweeps an inclusive index range, compares a predictor with the
 independently computed exact valuation (or two independent exact evaluations
-with each other), and returns a ``VerificationReport`` listing every
-mismatch.  Exact valuations come from streams, read as each index is
-checked, so no campaign holds a table; thm6 reads n and p*n + a from two.
-Open conjectures report a mismatch as ``counterexample-found``, not
-``fail``, with the full exact value dumped for independent scrutiny.
+with each other), and returns a ``VerificationReport`` listing every mismatch.
+Exact valuations come from streams, read as each index is checked, so no
+campaign holds a table (thm6 reads n and p*n + a from two), and conj1 against
+digits holds its predictor lists one block at a time, from any start.  Open
+conjectures report a mismatch as ``counterexample-found``, not ``fail``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .miner import build_table  # not called here; bench/tracing.py patches veri
 from .predictors import (
     PredictionContext,
     predict_b_conjecture1,
-    predict_b_conjecture1_prefix,
+    predict_b_conjecture1_range,
     predict_by_recurrence,
     predict_cube_sum_v3,
     predict_strauss_shallit,
@@ -31,7 +31,7 @@ from .predictors import (
     predict_vp_legendre_at_2,
     predict_vp_legendre_at_p_cases,
     predict_vp_legendre_at_p_digits,
-    predict_vp_legendre_at_p_digits_prefix,
+    predict_vp_legendre_at_p_digits_range,
     predict_vp_legendre_general,
     predict_vp_legendre_general_oneline,
     recurrence_step,
@@ -82,6 +82,8 @@ class VerificationReport:
         return self.status in ("pass", "skipped")
 
 
+_BLOCK = 3**10  # conj1 --against digits holds its two predictor lists this many indices at a time
+
 DEFAULT_RATIONAL_POINTS: tuple[Fraction, ...] = (
     Fraction(0),
     Fraction(1),
@@ -119,6 +121,8 @@ def _differ(n: int, predicted, actual, detail: str = "") -> Mismatch | None:
     """``None`` when every predicted value equals every actual one, else the
     mismatch.  Several values on one side come as a dict of named values and
     print as ``name=value``."""
+    if predicted == actual:  # a dict side equals no scalar, and no dict with other names
+        return None
     values = [v for side in (predicted, actual)
               for v in (side.values() if isinstance(side, dict) else (side,))]
     if all(v == values[0] for v in values):
@@ -224,11 +228,10 @@ def verify_conj1(lo: int, hi: int, against: str = "oracle") -> VerificationRepor
     if against == "oracle":
         return _report("conj1", params, hi - lo + 1, (_differ(i, predict_b_conjecture1(i), actual)
             for i, actual in _valuations(SequenceSpec.delannoy(), p3, range(lo, hi + 1))))
-    bs = predict_b_conjecture1_prefix(hi + 1)
-    digits = predict_vp_legendre_at_p_digits_prefix(p3, hi + 1)
-    # a sweep of up to millions of indices: compare whole lists, build only mismatches
-    return _report("conj1", params, hi - lo + 1, [
-        _differ(i, bs[i], digits[i]) for i in range(lo, hi + 1) if bs[i] != digits[i]])
+    blocks = (range(a, min(a + _BLOCK, hi + 1)) for a in range(lo, hi + 1, _BLOCK))
+    return _report("conj1", params, hi - lo + 1, (_differ(i, b, d) for block in blocks
+        for i, b, d in zip(block, predict_b_conjecture1_range(block.start, block.stop),
+                           predict_vp_legendre_at_p_digits_range(p3, block.start, block.stop)) if b != d))
 
 
 def verify_conj2(lo: int, hi: int) -> VerificationReport:

@@ -12,7 +12,7 @@ from legval.arith import (
     Prime,
     binomial_valuation_digits,
     digit_sum,
-    digit_sum_prefix,
+    digit_sums,
     factorial_valuation_digits,
     factorial_valuation_floor,
     kummer_carries,
@@ -236,8 +236,24 @@ class TestDigitSum:
     def test_prefix_sweep_matches_pointwise(self):
         for p in (2, 3, 5, 7, 11):
             for count in (0, 1, 2000):
-                pre = digit_sum_prefix(Prime(p), count)
+                pre = digit_sums(Prime(p), 0, count)
                 assert pre == [digit_sum(Prime(p), n) for n in range(count)]
+
+    @settings(deadline=None, max_examples=40)
+    @given(p=st.sampled_from((2, 3, 5, 7, 11)), lo=st.integers(0, 10**40) | st.integers(0, 10**5),
+           length=st.integers(0, 9000))
+    @example(p=2, lo=4095, length=4098)  # a block of 4096 low sums, crossed at both ends
+    @example(p=3, lo=0, length=0)
+    def test_range_matches_pointwise(self, p, lo, length):
+        # s(c*p**k + j) = s(c) + s(j) for j < p**k: the range holds more than
+        # one block of the low sums, from a start anywhere
+        got = digit_sums(Prime(p), lo, lo + length)
+        assert got == [digit_sum(Prime(p), n) for n in range(lo, lo + length)]
+
+    def test_range_rejects_bad_bounds(self):
+        for lo, hi in ((-1, 3), (5, 4)):
+            with pytest.raises(ValueError, match="bad index range"):
+                digit_sums(Prime(3), lo, hi)
 
     def test_digit_shift_identity(self):
         # s_p(n*p + a) = s_p(n) + a for 0 <= a < p.

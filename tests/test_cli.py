@@ -177,6 +177,15 @@ class TestVerify:
                            "--against", "digits")
         assert code == 0
 
+    def test_conj1_digits_mode_at_a_large_start(self, capsys):
+        # the digit check starts at lo, not at 0, so 10**30 costs what 11 indices cost
+        lo = 10**30
+        code, out, _ = run(capsys, "--format", "jsonl", "--no-timestamp", "verify", "--theorem",
+                           "conj1", "--n", f"{lo}..{lo + 10}", "--against", "digits")
+        assert code == 0
+        row = json.loads(out)
+        assert (row["status"], row["checked"]) == ("pass", 11)
+
     def test_parallel_sweep_matches_serial(self, capsys):
         base = ("--no-timestamp", "verify", "--theorem", "thm4", "--p", "3", "--n", "0..400")
         _, serial, _ = run(capsys, *base)

@@ -4,12 +4,14 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from legval.arith import INF, PadicVal, Prime, vp_rat
 from legval.predictors import (
     PredictionContext,
     predict_b_conjecture1,
-    predict_b_conjecture1_prefix,
+    predict_b_conjecture1_range,
     predict_by_recurrence,
     predict_cube_sum_v3,
     predict_strauss_shallit,
@@ -18,7 +20,7 @@ from legval.predictors import (
     predict_vp_legendre_at_2,
     predict_vp_legendre_at_p_cases,
     predict_vp_legendre_at_p_digits,
-    predict_vp_legendre_at_p_digits_prefix,
+    predict_vp_legendre_at_p_digits_range,
     predict_vp_legendre_general,
     predict_vp_legendre_general_oneline,
     recurrence_step,
@@ -130,8 +132,23 @@ class TestAtPPredictors:
 
     def test_prefix_batch_matches_pointwise(self):
         for p in (Prime(3), Prime(5)):
-            batch = predict_vp_legendre_at_p_digits_prefix(p, 600)
+            batch = predict_vp_legendre_at_p_digits_range(p, 0, 600)
             assert batch == [predict_vp_legendre_at_p_digits(p, n) for n in range(600)]
+
+    @settings(deadline=None, max_examples=40)
+    @given(p=st.sampled_from((3, 5, 7, 11)), lo=st.integers(0, 10**40) | st.integers(0, 10**5),
+           length=st.integers(0, 9000))
+    @example(p=3, lo=6561, length=6562)  # odd length from an odd start past one digit-sum block
+    @example(p=5, lo=7, length=0)
+    def test_range_batch_matches_pointwise(self, p, lo, length):
+        # the batch starts at the even a = lo - lo % 2, where n and n + 1 share n // 2
+        batch = predict_vp_legendre_at_p_digits_range(Prime(p), lo, lo + length)
+        assert batch == [predict_vp_legendre_at_p_digits(Prime(p), n) for n in range(lo, lo + length)]
+
+    def test_range_rejects_bad_bounds(self):
+        for lo, hi in ((-1, 3), (5, 4), (6, 4)):
+            with pytest.raises(ValueError, match="bad index range"):
+                predict_vp_legendre_at_p_digits_range(Prime(3), lo, hi)
 
 
 class TestAt2Predictor:
@@ -226,8 +243,22 @@ class TestConjecture1:
             assert predict_b_conjecture1(i) == predict_vp_legendre_at_p_digits(p3, i)
 
     def test_prefix_matches_pointwise(self):
-        batch = predict_b_conjecture1_prefix(3**10)
+        batch = predict_b_conjecture1_range(0, 3**10)
         assert batch == [predict_b_conjecture1(i) for i in range(3**10)]
+
+    @settings(deadline=None, max_examples=40)
+    @given(lo=st.integers(0, 10**40) | st.integers(0, 10**5), length=st.integers(0, 9000))
+    @example(lo=3**40 - 1, length=33)  # just past the pointwise cut-off, across a power of 3
+    @example(lo=10**30, length=11)
+    def test_range_matches_pointwise(self, lo, length):
+        # built from the ranges of the thirds and the ninths, from a start anywhere
+        batch = predict_b_conjecture1_range(lo, lo + length)
+        assert batch == [predict_b_conjecture1(i) for i in range(lo, lo + length)]
+
+    def test_range_rejects_bad_bounds(self):
+        for lo, hi in ((-1, 3), (5, 4)):
+            with pytest.raises(ValueError, match="bad index range"):
+                predict_b_conjecture1_range(lo, hi)
 
     def test_large_index(self):
         # 10**700 has about 1,470 base-3 digits, which the recursive form

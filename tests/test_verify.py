@@ -125,6 +125,20 @@ class TestStreamedCampaigns:
         assert (report.status, report.checked) == ("pass", 3 * (10**4 + 1))
         assert peak < 64 * 2**10
 
+    def test_conj1_digits_holds_one_block(self):
+        # the two predictor lists cover one block of indices at a time; lists
+        # of 10**6 + 1 ints each would take tens of MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            report = verify_conj1(0, 10**6, against="digits")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.status, report.checked) == ("pass", 10**6 + 1)
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("lo,hi,checked", [(1, 1, 0), (0, 0, 1), (1, 2, 1), (3, 9, 3)])
     def test_even_indices_of_short_ranges(self, lo, hi, checked):
         # lemma8 reads every second index of the q stream; a range with no
@@ -234,6 +248,31 @@ class TestMismatchText:
         with unlimited_int_digits():
             assert m.detail == f"value={cube_sum_2k(5300)}"
         assert len(m.detail) > 4300
+
+    @pytest.mark.parametrize("offset", [0, 3**10 - 1, 3**10, 3**10 + 7, 2 * 3**10 + 10])
+    def test_conj1_digits_mismatch_in_any_block(self, monkeypatch, offset):
+        # from lo = 5: the range's first index, the last of the first block,
+        # the first and an inner one of the second, and the range's last
+        import legval.verify as verify
+        from legval.predictors import predict_b_conjecture1
+
+        lo, block = 5, verify._BLOCK
+        assert block == 3**10
+        bad = lo + offset
+        original = verify.predict_b_conjecture1_range
+
+        def fake(start, stop):
+            values = original(start, stop)
+            if start <= bad < stop:
+                values[bad - start] += 1
+            return values
+
+        monkeypatch.setattr(verify, "predict_b_conjecture1_range", fake)
+        report = verify_conj1(lo, lo + 2 * block + 10, against="digits")
+        b = predict_b_conjecture1(bad)
+        assert report.status == "counterexample-found"
+        assert report.checked == 2 * block + 11
+        assert report.mismatches == [Mismatch(bad, str(b + 1), str(b))]
 
     def test_lemma6_digit_form(self, monkeypatch):
         self._bump(monkeypatch, "digit_sum", lambda p, m: m == 4)
