@@ -90,4 +90,5 @@ def oeis_check(
     # an infinite valuation equals no int; str of a Fraction is its 'num/den' form
     return _report("oeis-check", params, len(records), (
         _differ(rec.index, rec.value, ours)
-        for n, ours in zip(range(lo, hi + 1), stream) if (rec := wanted.get(n)) is not None))
+        for n, ours in zip(range(lo, hi + 1), stream, strict=True)
+        if (rec := wanted.get(n)) is not None))

@@ -191,42 +191,37 @@ def legendre_eval_rodrigues(n: int, x: Fraction | int) -> Fraction:
     return Fraction(num, den << n)
 
 
-def legendre_eval_square_form(n: int, x: Fraction | int) -> Fraction:
-    """P_n(x) as (1/2**n) * sum of C(n,k)**2 * (x-1)**k * (x+1)**(n-k).
+def _squares_sum(n: int, u: int, w: int) -> int:
+    """Sum of C(n,k)**2 * u**k * w**(n-k) over 0 <= k <= n.
 
-    With x = a/b, the terms C(n,k)**2 * (a-b)**k * (a+b)**(n-k) are summed
-    upward from k = 0: going down, the ratio would divide by a-b, which is 0
-    at x = 1.  Going up it divides by a+b, which is 0 only at x = -1, where
-    the term k = n is the only non-zero one."""
-    _require_nonneg(n)
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
-    u, w = a - b, a + b
+    The terms are summed upward from k = 0: going down, the ratio would
+    divide by u, which may be 0.  Going up it divides by w; at w = 0 the
+    term k = n, u**n, is the only non-zero one."""
     if not w:
-        return Fraction(u**n, (2 * b) ** n)
-    t = total = w**n  # C(n,k)**2 * u**k * w**(n-k), from k = 0
+        return u**n
+    t = total = w**n  # the term k = 0
     for k in range(1, n + 1):
         t = t * ((n - k + 1) ** 2 * u) // (k * k * w)
         total += t
-    return Fraction(total, (2 * b) ** n)
+    return total
 
 
-def _cigler_parts(n: int, x: Fraction) -> tuple[int, int]:
-    """Integer numerator and denominator b**n of M_n(x), with x = a/b."""
+def legendre_eval_square_form(n: int, x: Fraction | int) -> Fraction:
+    """P_n(x) as (1/2**n) * sum of C(n,k)**2 * (x-1)**k * (x+1)**(n-k); with
+    x = a/b, ``_squares_sum`` at u = a-b and w = a+b, over (2b)**n."""
+    _require_nonneg(n)
+    x = Fraction(x)
     a, b = x.numerator, x.denominator
-    u = a - b
-    t = total = den = b**n  # C(n,k)**2 * u**k * b**(n-k), from k = 0
-    for k in range(1, n + 1):
-        t = t * ((n - k + 1) ** 2 * u) // (k * k * b)
-        total += t
-    return total, den
+    return Fraction(_squares_sum(n, a - b, a + b), (2 * b) ** n)
 
 
 def cigler_eval(n: int, x: Fraction | int) -> Fraction:
-    """M_n(x) as sum of C(n,k)**2 * (x-1)**k."""
+    """M_n(x) as sum of C(n,k)**2 * (x-1)**k; with x = a/b,
+    ``_squares_sum`` at u = a-b and w = b, over b**n."""
     _require_nonneg(n)
-    num, den = _cigler_parts(n, Fraction(x))
-    return Fraction(num, den)
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    return Fraction(_squares_sum(n, a - b, b), b**n)
 
 
 def central_delannoy(n: int) -> int:
@@ -306,14 +301,18 @@ def cube_sum_2k(n: int) -> int:
 # vp(y) < S settles vp(U_n) = vp(y), and vp(y) >= S, as when U_n = 0,
 # leaves the valuation undetermined.
 #
-# Exact zeros: the stepper flags each slot that holds an exact 0, a seed
-# that is 0 or a step whose every term has A_i(n) = 0 or a flagged slot.
-# Such a step is exactly 0, and so is its residue, with no error to carry;
-# it yields inf and is flagged.  U_n of legendre(0) and q(0) is 0 at every
-# odd n this way, since A_1(n) = 2a*(2n-1) = 0.  Any other undetermined
-# index hands the rest of the range on: once to the same stepper, stepped
-# again from n = 0 with S below raised by the trivial bound, and from there
-# to the exact ``_iter_scaled``, so every answer is exact, never probable.
+# Exact zeros: within one pass a slot holds the integer 0 exactly when its
+# U is 0.  Seeds are exact integers.  A step with y = 0 is stored only as an
+# exact zero, and any other undetermined step hands off (below).  A nonzero
+# seed or stored y has vp < S <= Q; multiplying it by the units u and
+# reducing it modulo p**Q keeps its vp below Q, so it never becomes 0.  So a
+# step with y = 0 whose every term has A_i(n) = 0 or a slot holding 0 is
+# exactly 0, with no error to carry; it yields inf and stores 0.  U_n of
+# legendre(0) and q(0) is 0 at every odd n this way, since A_1(n) =
+# 2a*(2n-1) = 0.  Any other undetermined index hands the rest of the range
+# on: once to the same stepper, stepped again from n = 0 with S below raised
+# by the trivial bound, and from there to the exact ``_iter_scaled``, so
+# every answer is exact, never probable.
 #
 # Q is one constant for every stream, and every _REDUCE_EVERY steps the
 # state is reduced modulo p**Q.  Write T(j, n) = M(n)...M(j+1) /
@@ -438,7 +437,7 @@ _KINDS = {
         lambda r: (2 * r.numerator, 4 * r.denominator**2),
     ),
     SequenceKind.CIGLER: _legendre_family(
-        lambda n, r: _cigler_parts(n, r)[0],
+        lambda n, r: _squares_sum(n, r.numerator - r.denominator, r.denominator),
         lambda r: r.denominator,
         lambda r: (r.numerator, (2 * r.denominator - r.numerator) ** 2),
     ),
@@ -561,7 +560,6 @@ def _modular_valuations(
     mod = p ** (loss + settles)
     for n, w in enumerate(window[::-1][start:stop], start):  # exact seeds, exact valuations
         yield (vp_int(p, w) - n * shift if w else INF), w.bit_length()
-    zeros = [not w for w in window]  # the slots that hold an exact 0
     for n in range(k, stop):
         d, a = step(n)
         t, u = _split(p, d)
@@ -571,7 +569,7 @@ def _modular_valuations(
             y, rem = divmod(y, p**t)
             assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
         v = _vp_nonzero(p, y) if y else settles  # v >= settles leaves vp(U_n) open
-        zero = v >= settles and all(z or not c for c, z in zip(a, zeros))
+        zero = not y and all(not c or not w for c, w in zip(a, window))
         if v >= settles and not zero:
             if raised is None:  # vp(U_n) >= S: S raised by the trivial bound may settle it
                 yield from _modular_valuations(spec, p, max(n, start), stop, _vp_steps(step, p, k, stop))
@@ -581,7 +579,6 @@ def _modular_valuations(
         if n >= start:
             yield (INF if zero else v - n * shift), y.bit_length()
         window = [y] + [u * w for w in window[:-1]]  # y carries the unit λ*u: so must the rest
-        zeros = [zero] + zeros[:-1]
         if not n % _REDUCE_EVERY:
             window = [w % mod for w in window]
 

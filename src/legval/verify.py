@@ -15,7 +15,7 @@ import inspect
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import comb
 
 from .arith import Prime, digit_sum, unlimited_int_digits, vp_int, vp_rat
@@ -161,7 +161,7 @@ def _range_params(lo: int, hi: int, **extra: str) -> dict[str, str]:
 def _valuations(spec: SequenceSpec, p: Prime, indices: range) -> Iterator[tuple[int, int | float]]:
     """(n, vp at n) for each n of ``indices``, a range of step 1 or 2, from one stream."""
     vals = iter_sequence_valuations(spec, p, indices.stop, indices.start)
-    return zip(indices, islice(vals, 0, None, indices.step))
+    return zip(indices, islice(vals, 0, None, indices.step), strict=True)
 
 
 def verify_thm4(p: Prime, lo: int, hi: int) -> VerificationReport:
@@ -231,7 +231,8 @@ def verify_conj1(lo: int, hi: int, against: str = "oracle") -> VerificationRepor
     blocks = (range(a, min(a + _BLOCK, hi + 1)) for a in range(lo, hi + 1, _BLOCK))
     return _report("conj1", params, hi - lo + 1, (_differ(i, b, d) for block in blocks
         for i, b, d in zip(block, predict_b_conjecture1_range(block.start, block.stop),
-                           predict_vp_legendre_at_p_digits_range(p3, block.start, block.stop)) if b != d))
+                           predict_vp_legendre_at_p_digits_range(p3, block.start, block.stop),
+                           strict=True) if b != d))
 
 
 def verify_conj2(lo: int, hi: int) -> VerificationReport:
@@ -304,10 +305,9 @@ def verify_eq_ma(lo: int, hi: int, points: tuple[Fraction, ...] | None = None) -
     """Substitution identity M_n(x) = (2-x)**n * P_n(x/(2-x)) for x != 2."""
     points = tuple(x for x in (points or DEFAULT_RATIONAL_POINTS) if x != 2)
     params = _range_params(lo, hi, points=",".join(str(x) for x in points))
-    cases = [(x, n) for x in points for n in range(lo, hi + 1)]
-    return _report("eq-ma", params, len(cases), (_differ(
+    return _report("eq-ma", params, len(points) * (hi - lo + 1), (_differ(
         n, cigler_eval(n, x), (2 - x) ** n * legendre_eval_rodrigues(n, x / (2 - x)),
-        detail=f"x={x}") for x, n in cases))
+        detail=f"x={x}") for x, n in product(points, range(lo, hi + 1))))
 
 
 def verify_formula_agreement(lo: int, hi: int,
@@ -315,12 +315,11 @@ def verify_formula_agreement(lo: int, hi: int,
     """The three Legendre evaluation formulas agree exactly on a point set."""
     points = tuple(points or DEFAULT_RATIONAL_POINTS)
     params = _range_params(lo, hi, points=",".join(str(x) for x in points))
-    cases = [(x, n) for x in points for n in range(lo, hi + 1)]
-    return _report("formula-agreement", params, len(cases), (_differ(n, {
+    return _report("formula-agreement", params, len(points) * (hi - lo + 1), (_differ(n, {
         "binomial": legendre_eval_binomial(n, x),
         "rodrigues": legendre_eval_rodrigues(n, x),
     }, {"square": legendre_eval_square_form(n, x)}, detail=f"x={x}")
-        for x, n in cases))
+        for x, n in product(points, range(lo, hi + 1))))
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,17 @@ class TestStreamedCampaigns:
         assert (report.status, report.checked) == ("pass", 10**6 + 1)
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("campaign", [lambda: verify_thm5(0, 50), lambda: verify_thm6(Prime(3), 0, 5)],
+                             ids=["thm5", "thm6"])
+    def test_stream_that_ends_early_raises(self, monkeypatch, campaign):
+        # an index the stream never reached must not be counted as checked
+        from legval import verify
+
+        stream = verify.iter_sequence_valuations
+        monkeypatch.setattr(verify, "iter_sequence_valuations", lambda *args: list(stream(*args))[:-1])
+        with pytest.raises(ValueError):
+            campaign()
+
     @pytest.mark.parametrize("lo,hi,checked", [(1, 1, 0), (0, 0, 1), (1, 2, 1), (3, 9, 3)])
     def test_even_indices_of_short_ranges(self, lo, hi, checked):
         # lemma8 reads every second index of the q stream; a range with no
