@@ -13,6 +13,9 @@ describe.
 All functions are pure, except ``unlimited_int_digits``, which changes the
 interpreter's int/str digit limit for its block; values are immutable and safe
 to share between threads.
+
+``UsageError``, a ``ValueError``, is the one type of bad input: every input
+check in the package raises it where it checks.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 __all__ = [
+    "UsageError",
     "Prime",
     "PadicVal",
     "INF",
@@ -37,6 +41,10 @@ __all__ = [
     "parse_rational",
     "unlimited_int_digits",
 ]
+
+
+class UsageError(ValueError):
+    """An input the package cannot serve; the CLI exits 2 on it alone."""
 
 
 # Miller-Rabin with these witnesses, the first 13 primes, is a
@@ -80,16 +88,16 @@ def _is_prime(n: int) -> bool:
 
 class Prime(int):
     """A prime number.  Constructing a non-prime, or any number at or above
-    ``_MR_PROVEN_BOUND`` (where primality is not proven), raises ``ValueError``."""
+    ``_MR_PROVEN_BOUND`` (where primality is not proven), raises ``UsageError``."""
 
     def __new__(cls, value: int) -> "Prime":
         value = int(value)
         if value >= _MR_PROVEN_BOUND:
-            raise ValueError(
+            raise UsageError(
                 f"{value} is at or above {_MR_PROVEN_BOUND}, the bound below which "
                 "primality is proven (Sorenson & Webster 2015)")
         if not _is_prime(value):
-            raise ValueError(f"{value} is not a prime number")
+            raise UsageError(f"{value} is not a prime number")
         return super().__new__(cls, value)
 
     def __repr__(self) -> str:
@@ -135,20 +143,6 @@ class _Infinity(float):
 INF = _Infinity("inf")
 
 
-class _Interned(dict):
-    """Maps a key to its one value, made by ``make(key)`` on first use.  Each
-    table build and each table load makes its own, so a table shares one
-    ``PadicVal`` per finite value, as it shares ``INF``, and none outlives
-    it; a valuation stream yields plain ints and keeps none."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        val = self[key] = self.make(key)
-        return val
-
-
 # p -> (p**K, K) for the largest K >= 1 with p**K inside one CPython digit.
 _BLOCKS: dict[int, tuple[int, int]] = {}
 _DIGIT = 1 << sys.int_info.bits_per_digit
@@ -156,7 +150,7 @@ _DIGIT = 1 << sys.int_info.bits_per_digit
 
 def _block(p: int) -> tuple[int, int]:
     if p < 2:
-        raise ValueError(f"valuation base must be >= 2, got {p}")
+        raise UsageError(f"valuation base must be >= 2, got {p}")
     pk, k = int(p), 1
     while pk * p < _DIGIT:
         pk *= p
@@ -209,7 +203,7 @@ def vp_rat(p: Prime, r: Fraction | int) -> PadicVal | float:
 def digit_sum(p: Prime, n: int) -> int:
     """Sum of the base-p digits of n >= 0; 0 has the empty expansion."""
     if n < 0:
-        raise ValueError("digit_sum requires n >= 0")
+        raise UsageError("digit_sum requires n >= 0")
     s = 0
     while n:
         n, d = divmod(n, p)
@@ -221,7 +215,7 @@ def digit_sums(p: Prime, lo: int, hi: int) -> list[int]:
     """Base-p digit sums of lo .. hi-1, by s(c*p**k + j) = s(c) + s(j) for j < p**k:
     one list of the low sums s(j), p**k >= 4096, and one ``digit_sum`` per block."""
     if lo < 0 or hi < lo:
-        raise ValueError(f"bad index range [{lo}, {hi})")
+        raise UsageError(f"bad index range [{lo}, {hi})")
     low = [0]
     while len(low) < 4096:
         low = [s + d for s in low for d in range(p)]
@@ -235,7 +229,7 @@ def digit_sums(p: Prime, lo: int, hi: int) -> list[int]:
 def factorial_valuation_floor(p: Prime, n: int) -> int:
     """vp(n!) as the sum of floor(n / p**i) over i >= 1."""
     if n < 0:
-        raise ValueError("factorial valuation requires n >= 0")
+        raise UsageError("factorial valuation requires n >= 0")
     total = 0
     q = n // p
     while q:
@@ -247,7 +241,7 @@ def factorial_valuation_floor(p: Prime, n: int) -> int:
 def factorial_valuation_digits(p: Prime, n: int) -> int:
     """vp(n!) in digit form: (n - digit_sum(p, n)) / (p - 1)."""
     if n < 0:
-        raise ValueError("factorial valuation requires n >= 0")
+        raise UsageError("factorial valuation requires n >= 0")
     q, rem = divmod(n - digit_sum(p, n), p - 1)
     assert rem == 0, f"(n - s_p(n)) not divisible by p-1 for p={p}, n={n}"
     return q
@@ -256,7 +250,7 @@ def factorial_valuation_digits(p: Prime, n: int) -> int:
 def binomial_valuation_digits(p: Prime, n: int, k: int) -> int:
     """vp(C(n, k)) via digit sums: (s(k) + s(n-k) - s(n)) / (p - 1)."""
     if not 0 <= k <= n:
-        raise ValueError(f"binomial valuation requires 0 <= k <= n, got n={n}, k={k}")
+        raise UsageError(f"binomial valuation requires 0 <= k <= n, got n={n}, k={k}")
     q, rem = divmod(digit_sum(p, k) + digit_sum(p, n - k) - digit_sum(p, n), p - 1)
     assert rem == 0, f"digit-sum combination not divisible by p-1 for p={p}, n={n}, k={k}"
     return q
@@ -265,7 +259,7 @@ def binomial_valuation_digits(p: Prime, n: int, k: int) -> int:
 def kummer_carries(p: Prime, a: int, b: int) -> int:
     """Number of carries when adding a and b in base p (both >= 0)."""
     if a < 0 or b < 0:
-        raise ValueError("carry count requires non-negative addends")
+        raise UsageError("carry count requires non-negative addends")
     carries = 0
     carry = 0
     while a or b or carry:
@@ -282,7 +276,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        raise UsageError(f"not a rational number: {text!r}") from exc
 
 
 @contextmanager

@@ -6,8 +6,9 @@ campaigns), ``mine`` (kernel relation search), ``rank`` (kernel rank
 estimate), ``oeis-check`` (b-file comparison).
 
 Exit codes: 0 all checks passed or skipped, 1 a mathematical mismatch was
-found, 2 usage or parse errors.  Output is byte-identical across runs in
-csv/jsonl modes, except for a timestamp field suppressible with
+found, 2 argparse's usage errors and ``UsageError``, the one type the library
+raises on bad input, which ``main`` catches alone.  Output is byte-identical
+across runs in csv/jsonl modes, except for a timestamp field suppressible with
 ``--no-timestamp``.
 """
 
@@ -26,7 +27,7 @@ from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
-from .arith import Prime, parse_rational, unlimited_int_digits
+from .arith import Prime, UsageError, parse_rational, unlimited_int_digits
 from .miner import (
     DEFAULT_MIN_SUPPORT,
     ValuationTable,
@@ -37,7 +38,7 @@ from .miner import (
     kernel_rank_last_index,
     mine_relations,
 )
-from .oeis import BFileError, oeis_check
+from .oeis import oeis_check
 from .predictors import (
     PredictionContext,
     predict_b_conjecture1,
@@ -53,7 +54,7 @@ from .predictors import (
     predict_vp_legendre_general_oneline,
 )
 from .sequences import SequenceKind, SequenceSpec, iter_sequence_valuations, iter_sequence_values
-from .verify import THEOREM_IDS, UsageError, VerificationReport, _bind_options, run_verification
+from .verify import THEOREM_IDS, VerificationReport, _bind_options, run_verification
 
 # predictor id: the builder of its per-index function, whose parameters are
 # the options it requires.  The predictor names are looked up when a command runs.
@@ -89,18 +90,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _prime(value: int) -> Prime:
-    try:
-        return Prime(value)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _spec_from_args(args: argparse.Namespace) -> SequenceSpec:
-    try:
-        return SequenceSpec(SequenceKind(args.seq), args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return SequenceSpec(SequenceKind(args.seq), args.r)
 
 
 @contextmanager
@@ -157,7 +148,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_valuate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    p = _prime(args.p)
+    p = Prime(args.p)
     lo, hi = _parse_range(args.n)
     vals = iter_sequence_valuations(spec, p, hi + 1, lo)
     _stream_rows(args, "valuation", zip(range(lo, hi + 1), vals))
@@ -166,14 +157,11 @@ def cmd_valuate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     make = _PREDICTORS[args.predictor]
-    p = _prime(args.p) if args.p is not None else None
+    p = Prime(args.p) if args.p is not None else None
     options = _bind_options(f"predictor {args.predictor}", make, {"p": p, "r": args.r})
-    try:
-        fn = make(**options)
-        lo, hi = _parse_range(args.n)
-        first = fn(lo)  # a bad option or index fails here, before any output
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    fn = make(**options)
+    lo, hi = _parse_range(args.n)
+    first = fn(lo)  # a bad option or index fails here, before any output
     rest = ((n, fn(n)) for n in range(lo + 1, hi + 1))
     _stream_rows(args, "predicted", chain([(lo, first)], rest))
     return 0
@@ -205,7 +193,7 @@ def _emit_report(args: argparse.Namespace, report: VerificationReport) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n)
-    p = _prime(args.p) if args.p is not None else None
+    p = Prime(args.p) if args.p is not None else None
     return _emit_report(args, run_verification(
         args.theorem, lo, hi, p=p, r=args.r, against=args.against))
 
@@ -231,16 +219,13 @@ def _cached_table(args: argparse.Namespace, spec: SequenceSpec, p: Prime, N: int
 
 def cmd_mine(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    p = _prime(args.p)
+    p = Prime(args.p)
     if args.max_e < 0:
         raise UsageError("--max-e must be >= 0")
     N = args.N if args.N is not None else int(p) ** args.max_e * args.min_support * 4
     c_bound = args.c_bound if args.c_bound is not None else default_c_bound(p)
-    try:
-        table = _cached_table(args, spec, p, N)
-        mined = mine_relations(table, args.max_e, args.min_support, c_bound=c_bound)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    table = _cached_table(args, spec, p, N)
+    mined = mine_relations(table, args.max_e, args.min_support, c_bound=c_bound)
     meta = (
         f"spec={spec.canonical()} p={int(p)} N={N} max_e={args.max_e} "
         f"min_support={args.min_support} c_bound={c_bound}")
@@ -268,7 +253,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    p = _prime(args.p)
+    p = Prime(args.p)
     if args.prefix_len < 1 or args.max_e < 0:
         raise UsageError("--prefix-len must be >= 1 and --max-e >= 0")
     needed = kernel_rank_last_index(p, args.max_e, args.prefix_len)
@@ -298,7 +283,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_oeis_check(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    p = _prime(args.p) if args.p is not None else None
+    p = Prime(args.p) if args.p is not None else None
     return _emit_report(args, oeis_check(spec, args.bfile, p=p, offset=args.offset, limit=args.limit))
 
 
@@ -392,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.jobs < 1:
                 raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
             return args.func(args)
-        except (UsageError, BFileError) as exc:
+        except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -26,9 +26,11 @@ import os
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
+from operator import itemgetter
 from pathlib import Path
 
-from .arith import INF, PadicVal, Prime, _Interned
+from .arith import INF, PadicVal, Prime, UsageError
 from .sequences import SequenceSpec, iter_valuations_with_bits
 
 __all__ = [
@@ -80,15 +82,15 @@ class ValuationTable:
         text = Path(path).read_text(encoding="ascii")
         lines = text.splitlines()
         if not lines:
-            raise ValueError(f"{path}: empty table file")
+            raise UsageError(f"{path}: empty table file")
         m = re.fullmatch(r"# spec=(\S+) p=(\d+) N=(\d+)", lines[0].strip())
         if not m:
-            raise ValueError(f"{path}: malformed table header: {lines[0]!r}")
+            raise UsageError(f"{path}: malformed table header: {lines[0]!r}")
         spec = SequenceSpec.parse(m.group(1))
         p = Prime(int(m.group(2)))
         n_expected = int(m.group(3))
         values: list[int | float] = []
-        parsed = _Interned(PadicVal.parse)  # each distinct value text is parsed once
+        parsed = cache(PadicVal.parse)  # each distinct value text is parsed once
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split()
             if not fields:
@@ -97,19 +99,19 @@ class ValuationTable:
                 n, value = fields  # ValueError unless exactly two fields
                 if int(n) != len(values):
                     raise ValueError
-                values.append(parsed[value])
+                values.append(parsed(value))
             except ValueError:
-                raise ValueError(
+                raise UsageError(
                     f"{path}:{lineno}: expected '{len(values)} <value>', got {line!r}") from None
         if len(values) != n_expected + 1:
-            raise ValueError(f"{path}: header says N={n_expected} but {len(values)} entries present")
+            raise UsageError(f"{path}: header says N={n_expected} but {len(values)} entries present")
         return cls(spec, p, tuple(values))
 
     def truncated(self, N: int) -> "ValuationTable":
         if N < 0:
-            raise ValueError("table length must be >= 0")
+            raise UsageError("table length must be >= 0")
         if N > self.N:
-            raise ValueError(f"cannot extend table of length {self.N} to {N}")
+            raise UsageError(f"cannot extend table of length {self.N} to {N}")
         return ValuationTable(self.spec, self.p, self.values[: N + 1])
 
 
@@ -121,9 +123,10 @@ def build_table(spec: SequenceSpec, p: Prime, N: int, *, jobs: int = 1) -> Valua
     as the benchmark's ``bench/workloads.py``.
     """
     if N < 0:
-        raise ValueError("table length must be >= 0")
-    vals = _Interned(lambda v: v if v == INF else PadicVal(v))  # one PadicVal per value, as in ``load``
-    return ValuationTable(spec, p, tuple(vals[v] for v, _bits in iter_valuations_with_bits(spec, p, N + 1)))
+        raise UsageError("table length must be >= 0")
+    shared = cache(lambda v: v if v == INF else PadicVal(v))  # one PadicVal per value, as in ``load``
+    vals = map(itemgetter(0), iter_valuations_with_bits(spec, p, N + 1))
+    return ValuationTable(spec, p, tuple(map(shared, vals)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,7 @@ def verify_relation(table: ValuationTable, cand: RelationCandidate) -> MinedRela
     p = table.p
     pe, pe2 = p**cand.e, p**cand.e2
     if not 0 <= cand.i < pe or not 0 <= cand.j < pe2:
-        raise ValueError(f"candidate offsets out of range for p={int(p)}: {cand}")
+        raise UsageError(f"candidate offsets out of range for p={int(p)}: {cand}")
     lhs, rhs = table.values[cand.i::pe], table.values[cand.j::pe2]
     finite = [(a, b) for a, b in zip(lhs, rhs) if a != INF != b]
     violations = sum(a != b + cand.c for a, b in finite)
@@ -239,18 +242,18 @@ def mine_relations(
     level's classes are sliced once, when the search reaches that level.
     """
     if max_e < 0:
-        raise ValueError("max_e must be >= 0")
+        raise UsageError("max_e must be >= 0")
     if min_support < 1:
-        raise ValueError("min_support must be >= 1")
+        raise UsageError("min_support must be >= 1")
     p = table.p
     if c_bound is None:
         c_bound = default_c_bound(p)
     if c_bound < 0:
-        raise ValueError("c_bound must be >= 0")
+        raise UsageError("c_bound must be >= 0")
     values = table.values
     deepest = p**max_e
     if len(values[deepest - 1::deepest]) < min_support:
-        raise ValueError(
+        raise UsageError(
             f"table too short: level-{max_e} classes have fewer than {min_support} indices"
         )
     classes: list[list[tuple[int | float, ...]]] = []
@@ -322,13 +325,13 @@ def estimate_kernel_rank(table: ValuationTable, max_e: int, prefix_len: int) -> 
     ``dropped``; rank over Q is exact by fraction-free elimination.
     """
     if prefix_len < 1:
-        raise ValueError("prefix_len must be >= 1")
+        raise UsageError("prefix_len must be >= 1")
     if max_e < 0:
-        raise ValueError("max_e must be >= 0")
+        raise UsageError("max_e must be >= 0")
     p = table.p
     needed = kernel_rank_last_index(p, max_e, prefix_len)
     if needed > table.N:
-        raise ValueError(
+        raise UsageError(
             f"table too short: need index {needed} for max_e={max_e}, prefix_len={prefix_len}"
         )
     rows: list[tuple[int, ...]] = []

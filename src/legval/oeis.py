@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import Prime, unlimited_int_digits
+from .arith import Prime, UsageError, unlimited_int_digits
 from .sequences import SequenceSpec, iter_sequence_valuations, iter_sequence_values
 from .verify import VerificationReport, _differ, _report
 
 __all__ = ["BFileError", "BFileRecord", "parse_bfile", "oeis_check"]
 
 
-class BFileError(ValueError):
+class BFileError(UsageError):
     """Malformed b-file content; carries the offending line number."""
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .arith import (
     INF,
     Prime,
+    UsageError,
     _vp_nonzero,
     binomial_valuation_digits,
     digit_sum,
@@ -56,7 +57,7 @@ __all__ = [
 
 def _require_odd_prime(p: Prime) -> None:
     if p < 3:
-        raise ValueError("this predictor requires an odd prime p >= 3")
+        raise UsageError("this predictor requires an odd prime p >= 3")
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class PredictionContext:
         object.__setattr__(self, "r", Fraction(self.r))
         object.__setattr__(self, "vp_r", vp_rat(self.p, self.r))
         if not self.vp_r >= 1:
-            raise ValueError(
+            raise UsageError(
                 f"hypothesis violated: vp(r) >= 1 required, but v_{int(self.p)}({self.r}) = {self.vp_r}")
 
 
@@ -127,7 +128,7 @@ def predict_vp_legendre_at_p_digits_range(p: Prime, lo: int, hi: int) -> list[in
     """The digit-formula values for n in [lo, hi), batched from the even start lo - lo % 2."""
     _require_odd_prime(p)
     if lo < 0 or hi < lo:
-        raise ValueError(f"bad index range [{lo}, {hi})")
+        raise UsageError(f"bad index range [{lo}, {hi})")
     a = lo - lo % 2
     s, half, pm1 = digit_sums(p, a, hi), digit_sums(p, a // 2, (hi + 1) // 2), p - 1
     out = [0] * len(s)
@@ -139,19 +140,19 @@ def predict_vp_legendre_at_p_digits_range(p: Prime, lo: int, hi: int) -> list[in
 def predict_vp_legendre_at_2(n: int) -> int:
     """v2(P_n(2)) = (n mod 2) - v2(n!); negative from n = 2 on."""
     if n < 0:
-        raise ValueError("index must be >= 0")
+        raise UsageError("index must be >= 0")
     return n % 2 - factorial_valuation_digits(_TWO, n)
 
 
 def recurrence_step(p: Prime, f_n: int, n: int, a: int) -> int:
     """One base-p descent step: the int valuation at index p*n + a from the
     valuation f_n at index n, for odd p and digit 0 <= a < p; an infinite
-    f_n (``INF`` or ``math.inf``) raises ``ValueError``."""
+    f_n (``INF`` or ``math.inf``) raises ``UsageError``."""
     _require_odd_prime(p)
     if not 0 <= a < p:
-        raise ValueError(f"digit a must satisfy 0 <= a < p, got a={a}, p={int(p)}")
+        raise UsageError(f"digit a must satisfy 0 <= a < p, got a={a}, p={int(p)}")
     if f_n == INF:
-        raise ValueError("valuation is infinite")
+        raise UsageError("valuation is infinite")
     return f_n + (n + a) % 2
 
 
@@ -160,7 +161,7 @@ def predict_by_recurrence(p: Prime, n: int) -> int:
     most significant first, starting from the value 0 at index 0."""
     _require_odd_prime(p)
     if n < 0:
-        raise ValueError("index must be >= 0")
+        raise UsageError("index must be >= 0")
     digits = []
     m = n
     while m:
@@ -177,7 +178,7 @@ def predict_b_conjecture1(i: int) -> int:
     """Conjectured 3-adic valuation of the i-th central Delannoy number,
     by the two-branch base-3/base-9 recurrence with b(0) = 0."""
     if i < 0:
-        raise ValueError("index must be >= 0")
+        raise UsageError("index must be >= 0")
     b = 0  # b of the index passed in is b + b(i) for the current i
     while i:
         if i % 3 == 1:
@@ -193,7 +194,7 @@ def predict_b_conjecture1_range(lo: int, hi: int) -> list[int]:
     """b(lo) .. b(hi-1) from the ranges of the thirds t and the ninths t // 3,
     by b(3t) = b(3t+2) = b(t) + (t mod 2) and b(3t+1) = b(t // 3) + 1."""
     if lo < 0 or hi < lo:
-        raise ValueError(f"bad index range [{lo}, {hi})")
+        raise UsageError(f"bad index range [{lo}, {hi})")
     if hi - lo < 32:  # too short to pay for two sub-ranges and their slices
         return [predict_b_conjecture1(i) for i in range(lo, hi)]
     t0, t1 = lo // 3, -(-hi // 3)  # the thirds of [3*t0, 3*t1), which holds [lo, hi)
@@ -208,14 +209,14 @@ def predict_strauss_shallit(n: int) -> int:
     """v3 of the partial sum of central binomials:
     v3(C(2n,n)) + 2*v3(n), for n >= 1."""
     if n < 1:
-        raise ValueError("defined for n >= 1 only (the empty sum is zero)")
+        raise UsageError("defined for n >= 1 only (the empty sum is zero)")
     return binomial_valuation_digits(_THREE, 2 * n, n) + 2 * _vp_nonzero(_THREE, n)
 
 
 def predict_cube_sum_v3(n: int) -> int:
     """Conjectured v3 of sum C(n,k)**3 * 2**k, via base-3 digit sums."""
     if n < 0:
-        raise ValueError("index must be >= 0")
+        raise UsageError("index must be >= 0")
     if n % 6 == 5:
         return digit_sum(_THREE, (n - 1) // 2) + 1
     return digit_sum(_THREE, (n + 1) // 2)
@@ -224,7 +225,7 @@ def predict_cube_sum_v3(n: int) -> int:
 def predict_vp_Q(ctx: PredictionContext, n: int) -> int | float:
     """vp(Q_n(r)) = vp(2**n * P_n(r)) for vp(r) >= 1, by parity of n."""
     if n < 0:
-        raise ValueError("index must be >= 0")
+        raise UsageError("index must be >= 0")
     p = ctx.p
     m = n // 2
     v = binomial_valuation_digits(p, 2 * m, m)

@@ -47,13 +47,13 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Callable, Iterator
 
-from .arith import INF, Prime, _vp_nonzero, vp_int
+from .arith import INF, Prime, UsageError, _vp_nonzero, vp_int
 
 __all__ = [
     "SequenceKind",
@@ -95,10 +95,10 @@ class SequenceSpec:
     def __post_init__(self) -> None:
         if self.kind in _ARGUMENT_KINDS:
             if self.r is None:
-                raise ValueError(f"{self.kind.value} requires an evaluation point r")
+                raise UsageError(f"{self.kind.value} requires an evaluation point r")
             object.__setattr__(self, "r", Fraction(self.r))
         elif self.r is not None:
-            raise ValueError(f"{self.kind.value} takes no evaluation point")
+            raise UsageError(f"{self.kind.value} takes no evaluation point")
 
     @classmethod
     def legendre(cls, r: Fraction | int) -> "SequenceSpec":
@@ -133,24 +133,24 @@ class SequenceSpec:
     def parse(cls, text: str) -> "SequenceSpec":
         m = re.fullmatch(r"([a-z0-9]+)(?:\(([^()]+)\))?", text.strip())
         if not m:
-            raise ValueError(f"malformed sequence spec: {text!r}")
+            raise UsageError(f"malformed sequence spec: {text!r}")
         name, arg = m.group(1), m.group(2)
         try:
             kind = SequenceKind(name)
         except ValueError:
-            raise ValueError(f"unknown sequence {name!r}") from None
+            raise UsageError(f"unknown sequence {name!r}") from None
         if arg is None:
             return cls(kind)
         try:
             r = Fraction(arg)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed evaluation point in {text!r}") from exc
+            raise UsageError(f"malformed evaluation point in {text!r}") from exc
         return cls(kind, r)
 
 
 def _require_nonneg(n: int) -> None:
     if n < 0:
-        raise ValueError(f"sequence index must be >= 0, got {n}")
+        raise UsageError(f"sequence index must be >= 0, got {n}")
 
 
 def legendre_eval_binomial(n: int, x: Fraction | int) -> Fraction:
@@ -425,17 +425,15 @@ def _legendre_family(
     return _Kind(direct, base, step, loss)
 
 
+_LEGENDRE = _legendre_family(
+    lambda n, r: _rodrigues_parts(n, r)[0],
+    lambda r: 2 * r.denominator,
+    lambda r: (2 * r.numerator, 4 * r.denominator**2),
+)
+
 _KINDS = {
-    SequenceKind.LEGENDRE: _legendre_family(
-        lambda n, r: _rodrigues_parts(n, r)[0],
-        lambda r: 2 * r.denominator,
-        lambda r: (2 * r.numerator, 4 * r.denominator**2),
-    ),
-    SequenceKind.Q: _legendre_family(
-        lambda n, r: _rodrigues_parts(n, r)[0],
-        lambda r: r.denominator,
-        lambda r: (2 * r.numerator, 4 * r.denominator**2),
-    ),
+    SequenceKind.LEGENDRE: _LEGENDRE,
+    SequenceKind.Q: replace(_LEGENDRE, base=lambda r: r.denominator),  # the same U_n, as Q_n = 2**n * P_n
     SequenceKind.CIGLER: _legendre_family(
         lambda n, r: _squares_sum(n, r.numerator - r.denominator, r.denominator),
         lambda r: r.denominator,
@@ -488,7 +486,7 @@ def _iter_scaled(spec: SequenceSpec, start: int, stop: int) -> Iterator[int]:
     """Yields the scaled integers U_n for n in [start, stop), stepped from
     n = 0 whatever ``start`` is."""
     if start < 0 or stop < start:
-        raise ValueError(f"bad index range [{start}, {stop})")
+        raise UsageError(f"bad index range [{start}, {stop})")
     kind = _KINDS[spec.kind]
     step = kind.step(spec.r)
     k = len(step(0)[1])
@@ -538,7 +536,7 @@ def iter_valuations_with_bits(
     same stepper with its margin raised by the trivial bound, stepped again
     from n = 0, and from there to the exact stepper ``_iter_scaled``."""
     if start < 0 or stop < start:
-        raise ValueError(f"bad index range [{start}, {stop})")
+        raise UsageError(f"bad index range [{start}, {stop})")
     # returned, not yielded from: delegating would pass every step through one more frame
     return _modular_valuations(spec, p, start, stop)
 

@@ -7,6 +7,7 @@ Exact valuations come from streams, read as each index is checked, so no
 campaign holds a table (thm6 reads n and p*n + a from two), and conj1 against
 digits holds its predictor lists one block at a time, from any start.  Open
 conjectures report a mismatch as ``counterexample-found``, not ``fail``.
+A bad input or a violated hypothesis raises ``UsageError`` where it is checked.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import islice, product
 from math import comb
 
-from .arith import Prime, digit_sum, unlimited_int_digits, vp_int, vp_rat
+from .arith import Prime, UsageError, digit_sum, unlimited_int_digits, vp_int, vp_rat
 from .miner import build_table  # not called here; bench/tracing.py patches verify.build_table
 from .predictors import (
     PredictionContext,
@@ -47,7 +48,6 @@ from .sequences import (
 )
 
 __all__ = [
-    "UsageError",
     "Mismatch",
     "VerificationReport",
     "THEOREM_IDS",
@@ -55,10 +55,6 @@ __all__ = [
     "DEFAULT_RATIONAL_POINTS",
     "run_verification",
 ]
-
-
-class UsageError(ValueError):
-    """Invalid parameters or hypothesis violations; the CLI maps this to exit 2."""
 
 
 @dataclass(frozen=True)
@@ -136,14 +132,6 @@ def _side_text(side) -> str:
     return str(side)
 
 
-def _context(p: Prime, r: Fraction) -> PredictionContext:
-    """The predictors' context, which checks the hypothesis vp(r) >= 1."""
-    try:
-        return PredictionContext(p, r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _require_odd(p: Prime, theorem_id: str) -> Prime:
     if p < 3:
         raise UsageError(f"{theorem_id} requires an odd prime p >= 3, got p={int(p)}")
@@ -184,7 +172,7 @@ def verify_thm5(lo: int, hi: int) -> VerificationReport:
 
 def verify_thm3(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport:
     """Both general predictors for vp(P_n(r)), vp(r) >= 1, against the oracle."""
-    ctx = _context(p, r)
+    ctx = PredictionContext(p, r)
     params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
     return _report("thm3", params, hi - lo + 1, (_differ(n, {
         "cases": predict_vp_legendre_general(ctx, n),
@@ -284,7 +272,7 @@ def verify_lemma6(p: Prime, lo: int, hi: int) -> VerificationReport:
 
 def _verify_q_parity(theorem_id: str, parity: int, p: Prime, r: Fraction,
                      lo: int, hi: int) -> VerificationReport:
-    ctx = _context(p, r)
+    ctx = PredictionContext(p, r)
     params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
     indices = range(lo + (lo + parity) % 2, hi + 1, 2)
     return _report(theorem_id, params, len(indices), (_differ(n, predict_vp_Q(ctx, n), actual)

@@ -11,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from legval import cli
+from legval.arith import Prime
 from legval.cli import _PREDICTORS, main
+from legval.miner import ValuationTable, build_table
+from legval.sequences import SequenceSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -234,6 +238,23 @@ class TestMine:
         assert out1 == out2
         assert list((tmp_path / "tables").glob("*.table"))
 
+    def test_no_relations_found(self, capsys):
+        # at max_e 0 the one class (0, 0) has no candidate but itself
+        code, out, _ = run(capsys, "--no-timestamp", "mine", "--seq", "dsum", "--p", "3",
+                           "--N", "200", "--max-e", "0")
+        assert code == 0
+        assert out.splitlines()[-1] == "# no relations found"
+
+    def test_corrupt_cache_file_is_rebuilt(self, capsys, tmp_path):
+        # a cache file that does not load prints what a fresh run prints,
+        # and is rewritten as a loadable table
+        mine = ["--no-timestamp", "mine", "--seq", "dsum", "--p", "3", "--N", "729", "--max-e", "2"]
+        fresh = run(capsys, *mine)
+        path = tmp_path / "dsum_p3.table"
+        path.write_text("# spec=dsum p=3 N=729\n0 0\n1 garbage\n")
+        assert run(capsys, "--cache", str(tmp_path), *mine) == fresh
+        assert ValuationTable.load(path) == build_table(SequenceSpec.dsum(), Prime(3), 729)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "mined.txt"
         code, out, _ = run(capsys, "--out", str(target), "mine", "--seq", "dsum",
@@ -391,6 +412,29 @@ class TestBounds:
         mine = ["--cache", str(tmp_path), "mine", "--seq", "dsum", "--p", "3", "--N"]
         assert run(capsys, *mine, "2000")[0] == 0
         assert run(capsys, *mine, "-1") == (2, "", "error: table length must be >= 0\n")
+
+
+class TestFaultsAreNotUsageErrors:
+    # main exits 2 on UsageError alone; any other ValueError is a fault and leaves it
+
+    def test_predictor_fault_leaves_main(self, capsys, monkeypatch):
+        def fault(n):
+            raise ValueError("predictor fault")
+
+        monkeypatch.setitem(_PREDICTORS, "conj1", lambda: fault)
+        with pytest.raises(ValueError, match="predictor fault") as raised:
+            main(["predict", "--predictor", "conj1", "--n", "0..3"])
+        assert type(raised.value) is ValueError
+        assert capsys.readouterr().out == ""
+
+    def test_miner_fault_leaves_main(self, monkeypatch):
+        def fault(*args, **kwargs):
+            raise ValueError("miner fault")
+
+        monkeypatch.setattr(cli, "mine_relations", fault)
+        with pytest.raises(ValueError, match="miner fault") as raised:
+            main(["mine", "--seq", "dsum", "--p", "3", "--N", "729", "--max-e", "2"])
+        assert type(raised.value) is ValueError
 
 
 class TestBrokenPipe:
