@@ -18,28 +18,33 @@ and its loop has no product of two big integers.
 
 For batch work (valuation tables, verification sweeps) every kind is one
 record in ``_KINDS``: the summation above that gives a scaled integer U_n,
-the base B with value_n = U_n / B**n, and a recurrence of order k for U_n
-(3 for the cube-weighted sum, else 2).  Two steppers walk an index range
-with O(1) arithmetic operations per step.  ``_iter_scaled`` carries the
-exact integers U_n, which grow by Θ(1) digits a step; ``iter_sequence_values``
-reads it, and it is the fallback and the test oracle of the other.
+the base B with value_n = U_n / B**n, and a recurrence of order k for U_n (3
+for the cube-weighted sum, else 2) as data, the int coefficients of its
+polynomial coefficients in n.  Two steppers walk an index range with O(1)
+arithmetic operations per step.  ``_iter_scaled`` carries the exact integers
+U_n, which grow by Θ(1) digits a step; ``iter_sequence_values`` reads it,
+and it is the fallback and the test oracle of the other.
 ``iter_valuations_with_bits``, behind every valuation stream, carries U_n
 only modulo p**P and up to a p-adic unit, so its steps work on small numbers
-and its answers stay exact (precision tracked as in X. Caruso, *Computations
-with p-adic numbers*, 2017); it yields each valuation as a plain int, and
-``INF`` at an exact zero.  P is a constant, L plus a margin of a few dozen
-digits, where L bounds the digits the transition matrices of the recurrence
-lose to index N: a bound the comment above ``_Kind`` proves (O(log N) for
-legendre and q unless p is odd and divides b, cigler unless p is odd and
-divides 2b - a, delannoy and dsum at every p; about N/2 for cube2k at
-p = 3), and elsewhere the trivial bound, every division by p the range
-makes, O(N) digits.  Both steppers start from U_0, ..., U_{k-1} at n = 0
-and yield from a range's start, so a range that ends at n costs n steps.
-An index a valuation stream cannot settle hands the rest of its range on
-in one order: to the same stepper with the margin raised by the trivial
-bound, stepped again from n = 0, then to the exact ``_iter_scaled``.
-``eval_sequence`` reads a record's summation and base.  The direct formulas
-stay the independent oracle the test suite checks the steppers against.
+and its answers stay exact (precision tracked as in X. Caruso,
+*Computations with p-adic numbers*, 2017); it yields each valuation as a
+plain int, and ``INF`` at an exact zero.  It is one loop with its window and
+coefficients in locals, each coefficient stepped by forward differences, so
+it takes recurrences of order and degree up to 3; a record beyond either
+raises ``ValueError`` when the stream unpacks it, before its first step.  P
+is a constant, L plus a margin of a few dozen digits, where L bounds the
+digits the transition matrices of the recurrence lose to index N: a bound
+the comment above ``_Kind`` proves (O(log N) for legendre and q unless p is
+odd and divides b, cigler unless p is odd and divides 2b - a, delannoy and
+dsum at every p; about N/2 for cube2k at p = 3), and elsewhere the trivial
+bound, every division by p the range makes, O(N) digits.  Both steppers
+start from U_0, ..., U_{k-1} at n = 0 and yield from a range's start, so a
+range that ends at n costs n steps.  An index a valuation stream cannot
+settle hands the rest of its range on in one order: to the same stepper with
+the margin raised by the trivial bound, stepped again from n = 0, then to
+the exact ``_iter_scaled``.  ``eval_sequence`` reads a record's summation
+and base.  The direct formulas stay the independent oracle the test suite
+checks the steppers against.
 """
 
 from __future__ import annotations
@@ -262,8 +267,9 @@ def cube_sum_2k(n: int) -> int:
 #
 # Each kind is one ``_Kind`` record in ``_KINDS``.  ``direct(n, r)`` is a
 # scaled integer U_n computed by the summations above, ``base(r)`` is the B
-# with value_n = U_n / B**n, and ``step(r)`` is n -> (D(n), (A_1(n), ..., A_k(n))),
-# written as the recurrence of order k
+# with value_n = U_n / B**n, and ``recurrence(r)`` is (D, (A_1, ..., A_k)),
+# the int coefficients, lowest degree first, of the polynomials in n of the
+# recurrence of order k
 #     D(n)*U_n = A_1(n)*U_{n-1} + ... + A_k(n)*U_{n-k}.  With r = a/b:
 #
 #   legendre  U_n = (2b)**n * P_n(a/b), B = 2b.  Scaling Bonnet's
@@ -279,6 +285,10 @@ def cube_sum_2k(n: int) -> int:
 #             + 3*(3n-4)*(9n**2-21n+11)*U_{n-2} + 27*(n-2)**2*(3n-2)*U_{n-3},
 #             proved by a Zeilberger telescoping certificate (Petkovsek, Wilf
 #             & Zeilberger, A=B, 1996) that the test suite checks.
+#
+# The valuation stream keeps its window and each coefficient's forward
+# differences in locals, so it runs orders up to 3 and degrees up to 3; a
+# record beyond either fails when the stream unpacks it, before any step.
 #
 # Every division by D(n) is exact, and D(n) != 0 for n >= k.  With the k x k
 # companion matrix M(n), row 0 (A_1(n), ..., A_k(n)), D(n) on the subdiagonal,
@@ -382,7 +392,8 @@ def cube_sum_2k(n: int) -> int:
 # an odd number, and v_2((e-1)!) lifts S above e - 1.
 # ---------------------------------------------------------------------------
 
-_Step = Callable[[int], tuple[int, tuple[int, ...]]]  # n -> (D(n), (A_1(n), ..., A_k(n)))
+_Poly = tuple[int, ...]  # the coefficients of a polynomial in n, lowest degree first
+_Recurrence = tuple[_Poly, tuple[_Poly, ...]]  # (D, (A_1, ..., A_k))
 
 _MARGIN = 32  # p-adic digits kept beyond the loss bound; any value is exact
 _REDUCE_EVERY = 8  # steps between reductions of the state modulo p**Q
@@ -392,7 +403,7 @@ _REDUCE_EVERY = 8  # steps between reductions of the state modulo p**Q
 class _Kind:
     direct: Callable[[int, Fraction | None], int]
     base: Callable[[Fraction | None], int]
-    step: Callable[[Fraction | None], _Step]
+    recurrence: Callable[[Fraction | None], _Recurrence]
     # (r, p, N) -> the L proved above, or None for the trivial bound
     loss: Callable[[Fraction | None, int, int], int | None] = lambda r, p, N: None
 
@@ -415,14 +426,14 @@ def _legendre_family(
     (α, c) = coefficients(r); its loss bound is proved above unless p is
     odd and divides c."""
 
-    def step(r: Fraction | None) -> _Step:
+    def recurrence(r: Fraction | None) -> _Recurrence:
         alpha, c = coefficients(r)
-        return lambda n: (n, (alpha * (2 * n - 1), -c * (n - 1)))
+        return (0, 1), ((-alpha, 2 * alpha), (c, -c))
 
     def loss(r: Fraction | None, p: int, N: int) -> int | None:
         return 2 * _floor_log(p, N) if p == 2 or coefficients(r)[1] % p else None
 
-    return _Kind(direct, base, step, loss)
+    return _Kind(direct, base, recurrence, loss)
 
 
 _LEGENDRE = _legendre_family(
@@ -447,15 +458,13 @@ _KINDS = {
     SequenceKind.DSUM: _Kind(
         direct=lambda n, r: partial_sum_central_binomial(n),
         base=lambda r: 1,
-        step=lambda r: lambda n: (n - 1, (5 * n - 7, -2 * (2 * n - 3))),
+        recurrence=lambda r: ((-1, 1), ((-7, 5), (6, -4))),
         loss=lambda r, p, N: _floor_log(p, 2 * N),
     ),
     SequenceKind.CUBE2K: _Kind(
         direct=lambda n, r: cube_sum_2k(n),
         base=lambda r: 1,
-        step=lambda r: lambda n: (n * n * (3 * n - 5), (3 * (9 * n**3 - 24 * n**2 + 17 * n - 4),
-                                                        3 * (3 * n - 4) * (9 * n**2 - 21 * n + 11),
-                                                        27 * (n - 2) ** 2 * (3 * n - 2))),
+        recurrence=lambda r: ((0, 0, -5, 3), ((-12, 51, -72, 27), (-132, 351, -297, 81), (-216, 540, -378, 81))),
         loss=lambda r, p, N: N // 2 + 2 * _floor_log(3, N) + 2 if p == 3 else None,
     ),
 }
@@ -468,8 +477,25 @@ def eval_sequence(spec: SequenceSpec, n: int) -> Fraction:
     return Fraction(kind.direct(n, spec.r), kind.base(spec.r) ** n)
 
 
+def _at(poly: _Poly, n: int) -> int:
+    """The polynomial's value at n, by Horner's rule."""
+    value = 0
+    for c in reversed(poly):
+        value = value * n + c
+    return value
+
+
+def _differences(poly: _Poly, n: int) -> list[int]:
+    """poly(n) and its forward differences at n, up to the constant one:
+    adding each entry's successor to it, first to last, steps the list to
+    n + 1.  Four entries to degree 3, and one more a degree beyond."""
+    return [sum((-1) ** (j - i) * math.comb(j, i) * _at(poly, n + i) for i in range(j + 1))
+            for j in range(max(4, len(poly)))]
+
+
 def _split(p: int, d: int) -> tuple[int, int]:
     """(t, u) with d = p**t * u and p not dividing u, for d != 0."""
+    assert d, "D(n) = 0 at a step"  # else the loop below would never end
     t = 0
     while not d % p:
         d //= p
@@ -477,9 +503,9 @@ def _split(p: int, d: int) -> tuple[int, int]:
     return t, d
 
 
-def _vp_steps(step: _Step, p: int, lo: int, hi: int) -> int:
+def _vp_steps(D: _Poly, p: int, lo: int, hi: int) -> int:
     """vp(D(lo)...D(hi-1)), in one streaming pass."""
-    return sum(_split(p, step(n)[0])[0] for n in range(lo, hi))
+    return sum(_split(p, _at(D, n))[0] for n in range(lo, hi))
 
 
 def _iter_scaled(spec: SequenceSpec, start: int, stop: int) -> Iterator[int]:
@@ -488,16 +514,15 @@ def _iter_scaled(spec: SequenceSpec, start: int, stop: int) -> Iterator[int]:
     if start < 0 or stop < start:
         raise UsageError(f"bad index range [{start}, {stop})")
     kind = _KINDS[spec.kind]
-    step = kind.step(spec.r)
-    k = len(step(0)[1])
+    D, A = kind.recurrence(spec.r)
+    k = len(A)
     seeds = [kind.direct(n, spec.r) for n in range(k)]  # U_0, ..., U_{k-1}
     yield from seeds[start:stop]
     window = deque(reversed(seeds), maxlen=k)  # U_{n-1}, ..., U_{n-k} for the next n
     for n in range(k, stop):
-        d, a = step(n)
         # sum from the first product: sum()'s 0 + term would copy a big integer
-        terms = map(mul, a, window)
-        u, rem = divmod(sum(terms, next(terms)), d)
+        terms = map(mul, [_at(c, n) for c in A], window)
+        u, rem = divmod(sum(terms, next(terms)), _at(D, n))
         assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
         if n >= start:
             yield u
@@ -548,37 +573,56 @@ def _modular_valuations(
     S raised by ``raised`` digits on the one restart; None on the first pass."""
     kind = _KINDS[spec.kind]
     shift = vp_int(p, kind.base(spec.r))
-    step = kind.step(spec.r)
-    k = len(step(0)[1])
-    window = [kind.direct(n, spec.r) for n in reversed(range(k))]  # U_{k-1}, ..., U_0
+    D, A = kind.recurrence(spec.r)
+    k = len(A)
+    seeds = [kind.direct(n, spec.r) for n in range(k)]  # U_0, ..., U_{k-1}
     loss = kind.loss(spec.r, p, stop)
     if loss is None:  # the trivial bound
-        loss = _vp_steps(step, p, k, stop)
-    settles = _MARGIN + (raised or 0) + max((_split(p, w)[0] for w in window if w), default=0)
+        loss = _vp_steps(D, p, k, stop)
+    settles = _MARGIN + (raised or 0) + max((_split(p, w)[0] for w in seeds if w), default=0)
     mod = p ** (loss + settles)
-    for n, w in enumerate(window[::-1][start:stop], start):  # exact seeds, exact valuations
+    for n, w in enumerate(seeds[start:stop], start):  # exact seeds, exact valuations
         yield (vp_int(p, w) - n * shift if w else INF), w.bit_length()
+    # the window W_1, W_2, W_3, and D(n) and A_i(n) with their forward
+    # differences x_1, x_2, x_3 at n; order 2 pads A_3 = 0 and keeps w3 = 0
+    w1, w2, w3 = *reversed(seeds), *(0,) * (3 - k)
+    ((d, d_1, d_2, d_3), (a1, a1_1, a1_2, a1_3), (a2, a2_1, a2_2, a2_3),
+     (a3, a3_1, a3_2, a3_3)) = (_differences(c, k) for c in (D, *A, *((0,),) * (3 - k)))
+    order3 = k == 3
     for n in range(k, stop):
-        d, a = step(n)
-        t, u = _split(p, d)
-        terms = map(mul, a, window)
-        y = sum(terms, next(terms))
-        if t:
+        y = a1 * w1 + a2 * w2
+        if order3:  # an order-2 stream adds no 0: each sum copies a big residue
+            y += a3 * w3
+        if d % p:
+            u = d
+        else:
+            t, u = _split(p, d)
             y, rem = divmod(y, p**t)
             assert rem == 0, f"{spec.canonical()} recurrence lost exactness"
-        v = _vp_nonzero(p, y) if y else settles  # v >= settles leaves vp(U_n) open
-        zero = not y and all(not c or not w for c, w in zip(a, window))
-        if v >= settles and not zero:
-            if raised is None:  # vp(U_n) >= S: S raised by the trivial bound may settle it
-                yield from _modular_valuations(spec, p, max(n, start), stop, _vp_steps(step, p, k, stop))
-            else:
-                yield from _exact_valuations(spec, p, shift, max(n, start), stop)
-            return
-        if n >= start:
-            yield (INF if zero else v - n * shift), y.bit_length()
-        window = [y] + [u * w for w in window[:-1]]  # y carries the unit λ*u: so must the rest
+        if y:
+            v = _vp_nonzero(p, y)
+            if v >= settles:  # vp(U_n) >= S leaves the valuation open
+                break
+            if n >= start:
+                yield v - n * shift, y.bit_length()
+        elif (not a1 or not w1) and (not a2 or not w2) and (not a3 or not w3):  # an exact zero
+            if n >= start:
+                yield INF, 0
+        else:
+            break
+        w1, w2, w3 = y, u * w1, u * w2 if order3 else 0  # y carries the unit λ*u: so must the rest
         if not n % _REDUCE_EVERY:
-            window = [w % mod for w in window]
+            w1, w2, w3 = w1 % mod, w2 % mod, w3 % mod
+        d, d_1, d_2 = d + d_1, d_1 + d_2, d_2 + d_3
+        a1, a1_1, a1_2 = a1 + a1_1, a1_1 + a1_2, a1_2 + a1_3
+        a2, a2_1, a2_2 = a2 + a2_1, a2_1 + a2_2, a2_2 + a2_3
+        a3, a3_1, a3_2 = a3 + a3_1, a3_1 + a3_2, a3_2 + a3_3
+    else:
+        return
+    if raised is None:  # vp(U_n) >= S: S raised by the trivial bound may settle it
+        yield from _modular_valuations(spec, p, max(n, start), stop, _vp_steps(D, p, k, stop))
+    else:
+        yield from _exact_valuations(spec, p, shift, max(n, start), stop)
 
 
 def _exact_valuations(

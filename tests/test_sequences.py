@@ -266,7 +266,7 @@ class TestCube2kCertificate:
     def test_telescoping_identity(self):
         import sympy
 
-        from legval.sequences import _KINDS
+        from legval.sequences import _KINDS, _at
 
         n, k = sympy.symbols("n k")
         p_coeffs = [  # of k**0, ..., k**6
@@ -282,13 +282,80 @@ class TestCube2kCertificate:
         def P(kk):
             return sum(c * kk**j for j, c in enumerate(p_coeffs))
 
-        d, a = _KINDS[SequenceKind.CUBE2K].step(None)(n + 3)
+        D, A = _KINDS[SequenceKind.CUBE2K].recurrence(None)
+        d, a = _at(D, n + 3), [_at(c, n + 3) for c in A]
         assert len(a) == 3
         c = [-a[2], -a[1], -a[0], d]
         lhs = sum(c[i] * sympy.prod([n + j for j in range(1, i + 1)])**3
                   * sympy.prod([n + j - k for j in range(i + 1, 4)])**3 for i in range(4))
         rhs = 2 * P(k + 1) * (n + 3 - k)**3 - k**3 * P(k)
         assert sympy.expand(lhs - rhs) == 0
+
+
+# r = 0, a negative point, 3 | b (legendre and q at p = 3), 2b - a = 5 and
+# 2b - a = 2 (cigler at p = 5 and p = 2), 3**2 | b, and an integer point
+RECORD_POINTS = [Fraction(0), Fraction(-7, 2), Fraction(1, 3), Fraction(4, 3), Fraction(2, 9), Fraction(3)]
+
+
+class TestRecurrenceRecords:
+    """Each ``_KINDS`` record (D, (A_1, ..., A_k)) of coefficient tuples,
+    checked against its kind's direct summation, with no stepper between."""
+
+    @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda kind: kind.value)
+    def test_records_match_direct_sums(self, kind):
+        from legval.sequences import _ARGUMENT_KINDS, _KINDS, _at
+
+        record = _KINDS[kind]
+        for r in RECORD_POINTS if kind in _ARGUMENT_KINDS else [None]:
+            D, A = record.recurrence(r)
+            U = [record.direct(n, r) for n in range(61)]
+            for n in range(len(A), 61):
+                rhs = sum(_at(c, n) * U[n - i] for i, c in enumerate(A, 1))
+                assert _at(D, n) * U[n] == rhs, (kind, r, n)
+                assert _at(D, n) != 0, (kind, r, n)
+
+    @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda kind: kind.value)
+    def test_differences_step_every_coefficient(self, kind):
+        # the stream's tables from n = k, stepped as it steps them, give
+        # D(n) and A_i(n) at every n
+        from legval.sequences import _KINDS, _at, _differences
+
+        D, A = _KINDS[kind].recurrence(Fraction(-7, 2))
+        for poly in (D, *A):
+            table = _differences(poly, len(A))
+            assert len(table) == 4
+            for n in range(len(A), 61):
+                assert table[0] == _at(poly, n), (poly, n)
+                table = [x + y for x, y in zip(table, table[1:])] + table[3:]
+
+    @pytest.mark.parametrize("record", [
+        ((1,), ((1,), (1,), (1,), (1,))),  # order 4
+        ((0, 0, 0, 0, 1), ((1,), (1,))),  # D of degree 4
+        ((1,), ((1,), (0, 0, 0, 0, 1))),  # A_2 of degree 4
+    ], ids=["order-4", "degree-4-D", "degree-4-A"])
+    def test_records_beyond_order_or_degree_three_fail(self, record, monkeypatch):
+        from legval import sequences
+
+        kinds = dict(sequences._KINDS)
+        kinds[SequenceKind.DELANNOY] = sequences._Kind(
+            direct=lambda n, r: 1, base=lambda r: 1, recurrence=lambda r: record, loss=lambda r, p, N: 0)
+        monkeypatch.setattr(sequences, "_KINDS", kinds)
+        with pytest.raises(ValueError, match="unpack"):
+            next(sequences.iter_valuations_with_bits(SequenceSpec.delannoy(), Prime(3), 100, 50))
+
+    @pytest.mark.parametrize("loss", [None, 0], ids=["trivial-bound", "proven"])
+    def test_vanishing_d_fails_instead_of_looping(self, loss, monkeypatch):
+        # D(n) = n - 3 is 0 at n = 3 >= k; splitting a power of p off 0 would
+        # never end, in the trivial bound's sum as in a step
+        from legval import sequences
+
+        kinds = dict(sequences._KINDS)
+        kinds[SequenceKind.DELANNOY] = sequences._Kind(
+            direct=lambda n, r: 1, base=lambda r: 1, recurrence=lambda r: ((-3, 1), ((1,), (1,))),
+            loss=lambda r, p, N: loss)
+        monkeypatch.setattr(sequences, "_KINDS", kinds)
+        with pytest.raises(AssertionError, match=r"D\(n\) = 0"):
+            list(sequences.iter_valuations_with_bits(SequenceSpec.delannoy(), Prime(3), 10))
 
 
 class TestEvalSequence:
@@ -367,7 +434,7 @@ class TestPlainIntStreams:
 
         if exact:  # no margin and a trivial bound of 0 hand the range to the exact stepper
             monkeypatch.setattr(sequences, "_MARGIN", 0)
-            monkeypatch.setattr(sequences, "_vp_steps", lambda step, p, lo, hi: 0)
+            monkeypatch.setattr(sequences, "_vp_steps", lambda D, p, lo, hi: 0)
         got = list(iter_sequence_valuations(spec, p, 300))
         assert got == exact_valuations(spec, p, 300)
         assert all(type(v) is int for v in got if v != INF)
@@ -464,7 +531,7 @@ def no_fallback(spec, p, shift, start, stop):
     raise AssertionError(f"fallback to the exact stepper at {start}")
 
 
-def no_budget(step, p, lo, hi):
+def no_budget(D, p, lo, hi):
     """Stands in for ``sequences._vp_steps`` where neither the trivial bound
     nor a restart may be summed."""
     raise AssertionError("trivial bound or restart summed")
@@ -556,7 +623,7 @@ class TestModularStepper:
         for loss in (None, 0):
             kinds = dict(sequences._KINDS)
             kinds[SequenceKind.DELANNOY] = sequences._Kind(
-                direct=lambda n, r: 1, base=lambda r: 1, step=lambda r: lambda n: (1, (1, -1)),
+                direct=lambda n, r: 1, base=lambda r: 1, recurrence=lambda r: ((1,), ((1,), (-1,))),
                 loss=lambda r, p, N: loss)
             monkeypatch.setattr(sequences, "_KINDS", kinds)
             fallbacks.clear()
@@ -619,18 +686,18 @@ class TestModularStepper:
         # every vp(D(j+1)...D(n)), so a residue 0 means enough valuation.
         # Where no bound is proven, L is the trivial one the stepper sums.
         from legval.arith import vp_int
-        from legval.sequences import _KINDS, _vp_steps
+        from legval.sequences import _KINDS, _at, _vp_steps
 
         kind = _KINDS[spec.kind]
         e = 5 if p <= 3 else 3
         N = p**e
-        step = kind.step(spec.r)
-        k = len(step(0)[1])
+        D, A = kind.recurrence(spec.r)
+        k = len(A)
         L = kind.loss(spec.r, p, N + 1)
         proven = L is not None
         if not proven:
-            L = _vp_steps(step, p, k, N + 1)
-        steps = [step(n) for n in range(N + 1)]
+            L = _vp_steps(D, p, k, N + 1)
+        steps = [(_at(D, n), [_at(c, n) for c in A]) for n in range(N + 1)]
         owed = [0] * (k + 1)  # owed[n] = vp(D(k)...D(n-1))
         for d, _a in steps[k:]:
             owed.append(owed[-1] + vp_int(p, d).value)
@@ -669,10 +736,10 @@ class TestModularStepper:
         from legval.sequences import _vp_steps
 
         two = Prime(2)
-        # vp(D) over n = 2..5 is 2 + 1 + 3 + 1; the A_i play no part
-        assert _vp_steps(lambda n: (2 * n, (4, 4)), two, 2, 6) == 7
-        assert _vp_steps(lambda n: (n, (1, 1)), Prime(3), 1, 10) == 4  # v_3(9!)
-        assert _vp_steps(lambda n: (2 * n, (3, 16)), two, 2, 2) == 0  # no steps
+        # vp(D) of D(n) = 2n over n = 2..5 is 2 + 1 + 3 + 1
+        assert _vp_steps((0, 2), two, 2, 6) == 7
+        assert _vp_steps((0, 1), Prime(3), 1, 10) == 4  # v_3(9!)
+        assert _vp_steps((0, 2), two, 2, 2) == 0  # no steps
 
     def test_growing_valuation_ends_exact(self, monkeypatch):
         # U_n = 4*U_{n-1} + 4*U_{n-2} from 1, 2 has vp_2(U_n) = n, which
@@ -683,7 +750,7 @@ class TestModularStepper:
 
         kinds = dict(sequences._KINDS)
         kinds[SequenceKind.DELANNOY] = sequences._Kind(
-            direct=lambda n, r: (1, 2)[n], base=lambda r: 1, step=lambda r: lambda n: (1, (4, 4)))
+            direct=lambda n, r: (1, 2)[n], base=lambda r: 1, recurrence=lambda r: ((1,), ((4,), (4,))))
         monkeypatch.setattr(sequences, "_KINDS", kinds)
         monkeypatch.setattr(sequences, "_MARGIN", 0)
         fallbacks = []
@@ -723,7 +790,7 @@ class TestModularStepper:
             return exact(spec, p, shift, start, stop)
 
         monkeypatch.setattr(sequences, "_MARGIN", 0)
-        monkeypatch.setattr(sequences, "_vp_steps", lambda step, p, lo, hi: 0)
+        monkeypatch.setattr(sequences, "_vp_steps", lambda D, p, lo, hi: 0)
         monkeypatch.setattr(sequences, "_exact_valuations", counted)
         N = 300
         got = list(build_table(spec, p, N - 1).values)
