@@ -162,24 +162,34 @@ def _block(p: int) -> tuple[int, int]:
 def _vp_nonzero(p: int, n: int) -> int:
     """Largest e with p**e dividing |n|, as a plain int; n must not be 0.
 
-    Each pass over n divides by a whole block p**K that fits in one machine
-    digit, so a big n costs one pass per K units of valuation plus one (the
-    repeated-power idea of GMP's ``mpz_remove``).  The first non-zero
-    remainder r is below p**K with vp(r) = vp(n), and is finished as a small
-    int.  For p = 2 the lowest set bit gives the answer directly.
+    A valuation below K = ``_block(p)[1]`` costs one pass over n: the
+    remainder r modulo p**K has vp(r) = vp(n) and is finished as a small int.
+    Else n is divided by p**K, p**2K, p**4K, ... while each square still
+    divides it, then by the squares taken, largest first, so a valuation v
+    costs O(log(v/K)) passes (the repeated-squaring idea of GMP's
+    ``mpz_remove``).  For p = 2 the lowest set bit gives the answer directly.
     """
     if p == 2:
         return (n & -n).bit_length() - 1
     try:
-        pk, k = _BLOCKS[p]
+        block, k = _BLOCKS[p]
     except KeyError:
-        pk, k = _block(p)
+        block, k = _block(p)
     v = 0
-    r = n % pk
-    while not r:
-        n //= pk
-        v += k
-        r = n % pk
+    r = n % block
+    if not r:
+        squares, pk, e = [], block, k
+        q, r = divmod(n, pk)
+        while not r:
+            squares.append((pk, e))
+            n, v = q, v + e
+            pk, e = pk * pk, 2 * e
+            q, r = divmod(n, pk)
+        for pk, e in reversed(squares):
+            q, r = divmod(n, pk)
+            if not r:
+                n, v = q, v + e
+        r = n % block
     while not r % p:
         r //= p
         v += 1

@@ -3,7 +3,8 @@
 Subcommands: ``eval`` (exact values), ``valuate`` (exact valuations),
 ``predict`` (closed-form predictors), ``verify`` (predictor-vs-oracle
 campaigns), ``mine`` (kernel relation search), ``rank`` (kernel rank
-estimate), ``oeis-check`` (b-file comparison).
+estimate), ``oeis-check`` (b-file comparison).  ``predict`` and ``verify`` read
+their tables from ``legval.verify``, so this module imports no predictor.
 
 Exit codes: 0 all checks passed or skipped, 1 a mathematical mismatch was
 found, 2 argparse's usage errors and ``UsageError``, the one type the library
@@ -22,7 +23,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import TextIO
@@ -39,38 +40,8 @@ from .miner import (
     mine_relations,
 )
 from .oeis import oeis_check
-from .predictors import (
-    PredictionContext,
-    predict_b_conjecture1,
-    predict_by_recurrence,
-    predict_cube_sum_v3,
-    predict_strauss_shallit,
-    predict_vp_Q,
-    predict_vp_cigler,
-    predict_vp_legendre_at_2,
-    predict_vp_legendre_at_p_cases,
-    predict_vp_legendre_at_p_digits,
-    predict_vp_legendre_general,
-    predict_vp_legendre_general_oneline,
-)
 from .sequences import SequenceKind, SequenceSpec, iter_sequence_valuations, iter_sequence_values
-from .verify import THEOREM_IDS, VerificationReport, _bind_options, run_verification
-
-# predictor id: the builder of its per-index function, whose parameters are
-# the options it requires.  The predictor names are looked up when a command runs.
-_PREDICTORS = {
-    "thm3": lambda p, r: partial(predict_vp_legendre_general, PredictionContext(p, r)),
-    "thm3-oneline": lambda p, r: partial(predict_vp_legendre_general_oneline, PredictionContext(p, r)),
-    "thm4": lambda p: partial(predict_vp_legendre_at_p_cases, p),
-    "thm4-digits": lambda p: partial(predict_vp_legendre_at_p_digits, p),
-    "thm4-rec": lambda p: partial(predict_by_recurrence, p),
-    "thm5": lambda: predict_vp_legendre_at_2,
-    "q": lambda p, r: partial(predict_vp_Q, PredictionContext(p, r)),
-    "cigler": lambda p: partial(predict_vp_cigler, p),
-    "conj1": lambda: predict_b_conjecture1,
-    "conj2": lambda: predict_cube_sum_v3,
-    "strauss": lambda: predict_strauss_shallit,
-}
+from .verify import _PREDICTORS, THEOREM_IDS, VerificationReport, _bind_options, run_verification
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -131,10 +102,10 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], rows: Iterable[dict],
                 out.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _stream_rows(args: argparse.Namespace, column: str, pairs: Iterable[tuple[int, object]]) -> None:
-    """Writes (n, value) pairs as they are computed, without a timestamp."""
-    rows = ({"n": n, column: str(v)} for n, v in pairs)
-    # only one of rows and the text lines is consumed, so pairs is read once
+def _stream_rows(args: argparse.Namespace, column: str, indices: range, values: Iterable) -> None:
+    """Writes (n, value) rows as computed, with no timestamp; a short stream raises ``ValueError``."""
+    rows = ({"n": n, column: str(v)} for n, v in zip(indices, values, strict=True))
+    # only one of rows and the text lines is consumed, so values is read once
     _emit(args, ["n", column], rows, (f"{row['n']} {row[column]}" for row in rows), stamped=False)
 
 
@@ -142,7 +113,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     lo, hi = _parse_range(args.n)
     # str of a Fraction is its exact 'num/den' form, with no '/1' on an integer
-    _stream_rows(args, "value", zip(range(lo, hi + 1), iter_sequence_values(spec, hi + 1, lo)))
+    _stream_rows(args, "value", range(lo, hi + 1), iter_sequence_values(spec, hi + 1, lo))
     return 0
 
 
@@ -150,8 +121,7 @@ def cmd_valuate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     p = Prime(args.p)
     lo, hi = _parse_range(args.n)
-    vals = iter_sequence_valuations(spec, p, hi + 1, lo)
-    _stream_rows(args, "valuation", zip(range(lo, hi + 1), vals))
+    _stream_rows(args, "valuation", range(lo, hi + 1), iter_sequence_valuations(spec, p, hi + 1, lo))
     return 0
 
 
@@ -162,8 +132,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     fn = make(**options)
     lo, hi = _parse_range(args.n)
     first = fn(lo)  # a bad option or index fails here, before any output
-    rest = ((n, fn(n)) for n in range(lo + 1, hi + 1))
-    _stream_rows(args, "predicted", chain([(lo, first)], rest))
+    _stream_rows(args, "predicted", range(lo, hi + 1), chain([first], map(fn, range(lo + 1, hi + 1))))
     return 0
 
 

@@ -8,6 +8,8 @@ campaign holds a table (thm6 reads n and p*n + a from two), and conj1 against
 digits holds its predictor lists one block at a time, from any start.  Open
 conjectures report a mismatch as ``counterexample-found``, not ``fail``.
 A bad input or a violated hypothesis raises ``UsageError`` where it is checked.
+``_CAMPAIGNS`` and ``_PREDICTORS`` map the ids of ``legval verify`` and
+``legval predict`` to their campaigns and predictor builders.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import inspect
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
 from math import comb
 
@@ -29,6 +32,7 @@ from .predictors import (
     predict_cube_sum_v3,
     predict_strauss_shallit,
     predict_vp_Q,
+    predict_vp_cigler,
     predict_vp_legendre_at_2,
     predict_vp_legendre_at_p_cases,
     predict_vp_legendre_at_p_digits,
@@ -289,19 +293,18 @@ def verify_lemma9(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport
     return _verify_q_parity("lemma9", 1, p, r, lo, hi)
 
 
-def verify_eq_ma(lo: int, hi: int, points: tuple[Fraction, ...] | None = None) -> VerificationReport:
+def verify_eq_ma(lo: int, hi: int) -> VerificationReport:
     """Substitution identity M_n(x) = (2-x)**n * P_n(x/(2-x)) for x != 2."""
-    points = tuple(x for x in (points or DEFAULT_RATIONAL_POINTS) if x != 2)
+    points = tuple(x for x in DEFAULT_RATIONAL_POINTS if x != 2)
     params = _range_params(lo, hi, points=",".join(str(x) for x in points))
     return _report("eq-ma", params, len(points) * (hi - lo + 1), (_differ(
         n, cigler_eval(n, x), (2 - x) ** n * legendre_eval_rodrigues(n, x / (2 - x)),
         detail=f"x={x}") for x, n in product(points, range(lo, hi + 1))))
 
 
-def verify_formula_agreement(lo: int, hi: int,
-                             points: tuple[Fraction, ...] | None = None) -> VerificationReport:
+def verify_formula_agreement(lo: int, hi: int) -> VerificationReport:
     """The three Legendre evaluation formulas agree exactly on a point set."""
-    points = tuple(points or DEFAULT_RATIONAL_POINTS)
+    points = DEFAULT_RATIONAL_POINTS
     params = _range_params(lo, hi, points=",".join(str(x) for x in points))
     return _report("formula-agreement", params, len(points) * (hi - lo + 1), (_differ(n, {
         "binomial": legendre_eval_binomial(n, x),
@@ -310,31 +313,42 @@ def verify_formula_agreement(lo: int, hi: int,
         for x, n in product(points, range(lo, hi + 1))))
 
 
-@dataclass(frozen=True)
-class _Campaign:
-    run: Callable[..., VerificationReport]
-    conjectural: bool = False  # a mismatch is a counterexample-found, not a fail
-
-
-_CAMPAIGNS: dict[str, _Campaign] = {
-    "thm3": _Campaign(verify_thm3),
-    "thm4": _Campaign(verify_thm4),
-    "thm5": _Campaign(verify_thm5),
-    "thm6": _Campaign(verify_thm6),
-    "thm7": _Campaign(verify_thm7),
-    # proved only in the p = 3 reading; kept flagged
-    "conj1": _Campaign(verify_conj1, conjectural=True),
-    # open question; mismatches are findings
-    "conj2": _Campaign(verify_conj2, conjectural=True),
-    "strauss": _Campaign(verify_strauss),
-    "lemma6": _Campaign(verify_lemma6),
-    "lemma8": _Campaign(verify_lemma8),
-    "lemma9": _Campaign(verify_lemma9),
-    "eq-ma": _Campaign(verify_eq_ma),
-    "formula-agreement": _Campaign(verify_formula_agreement),
+_CAMPAIGNS: dict[str, Callable[..., VerificationReport]] = {
+    "thm3": verify_thm3,
+    "thm4": verify_thm4,
+    "thm5": verify_thm5,
+    "thm6": verify_thm6,
+    "thm7": verify_thm7,
+    "conj1": verify_conj1,
+    "conj2": verify_conj2,
+    "strauss": verify_strauss,
+    "lemma6": verify_lemma6,
+    "lemma8": verify_lemma8,
+    "lemma9": verify_lemma9,
+    "eq-ma": verify_eq_ma,
+    "formula-agreement": verify_formula_agreement,
 }
 THEOREM_IDS = tuple(_CAMPAIGNS)
-CONJECTURE_IDS = frozenset(t for t, campaign in _CAMPAIGNS.items() if campaign.conjectural)
+# a mismatch is a counterexample-found, not a fail: conj1 is proved only in the
+# p = 3 reading and kept flagged; conj2 is open, and its mismatches are findings
+CONJECTURE_IDS = frozenset({"conj1", "conj2"})
+
+# predictor id: the builder of its per-index function, whose parameters are the
+# options it requires.  Builders look predictor names up here when a command runs:
+# bench/tracing.py counts calls to these names, and would count 0 from predictors.py.
+_PREDICTORS = {
+    "thm3": lambda p, r: partial(predict_vp_legendre_general, PredictionContext(p, r)),
+    "thm3-oneline": lambda p, r: partial(predict_vp_legendre_general_oneline, PredictionContext(p, r)),
+    "thm4": lambda p: partial(predict_vp_legendre_at_p_cases, p),
+    "thm4-digits": lambda p: partial(predict_vp_legendre_at_p_digits, p),
+    "thm4-rec": lambda p: partial(predict_by_recurrence, p),
+    "thm5": lambda: predict_vp_legendre_at_2,
+    "q": lambda p, r: partial(predict_vp_Q, PredictionContext(p, r)),
+    "cigler": lambda p: partial(predict_vp_cigler, p),
+    "conj1": lambda: predict_b_conjecture1,
+    "conj2": lambda: predict_cube_sum_v3,
+    "strauss": lambda: predict_strauss_shallit,
+}
 
 
 def run_verification(
@@ -347,11 +361,11 @@ def run_verification(
     against: str = "oracle",
 ) -> VerificationReport:
     """Runs a campaign by id with the parameters it takes (see ``_bind_options``)."""
-    campaign = _CAMPAIGNS.get(theorem_id)
-    if campaign is None:
+    run = _CAMPAIGNS.get(theorem_id)
+    if run is None:
         raise UsageError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     given = {"p": p, "r": r, "against": against}
-    return campaign.run(lo=lo, hi=hi, **_bind_options(theorem_id, campaign.run, given))
+    return run(lo=lo, hi=hi, **_bind_options(theorem_id, run, given))
 
 
 def _bind_options(name: str, fn: Callable, given: dict[str, object]) -> dict[str, object]:

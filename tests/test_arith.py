@@ -10,6 +10,7 @@ from legval.arith import (
     INF,
     PadicVal,
     Prime,
+    UsageError,
     binomial_valuation_digits,
     digit_sum,
     digit_sums,
@@ -201,6 +202,23 @@ class TestVp:
         assert got == vp_oracle(p, n) == multiplicity(p, n)
         assert got >= e
 
+    @pytest.mark.usefixtures("deadline")
+    @pytest.mark.parametrize("j", range(9))
+    @pytest.mark.parametrize("p", [3, 2**31 - 1])
+    def test_squared_blocks(self, p, j):
+        # a valuation of K or more divides n by p**K, p**2K, p**4K, ... and then
+        # by those squares, largest first; e = K*2**j - 1, K*2**j and K*2**j + 1
+        # end just short of a square, on it and just past it (K = 1 for
+        # 2**31 - 1), and K*2**(j+1) - K - 1 takes every square on the way down.
+        # A descent that leaves p**K dividing n loops on a zero remainder, so
+        # the deadline turns that into a failure
+        from legval.arith import _block, _vp_nonzero
+
+        k = _block(p)[1]
+        for e in (k * 2**j - 1, k * 2**j, k * 2**j + 1, k * 2 ** (j + 1) - k - 1):
+            for u in (1, 2, p - 1, -(p + 1)):
+                assert _vp_nonzero(p, p**e * u) == vp_int(Prime(p), p**e * u) == e, (e, u)
+
     @given(p=st.sampled_from((2, 3, 5, 7, 2**31 - 1)), e=st.integers(0, 600),
            m=st.integers(0, 2**200), r=st.integers(0, 2**40), sign=st.sampled_from((1, -1)))
     @example(p=3, e=600, m=0, r=0, sign=-1)
@@ -283,6 +301,16 @@ class TestFactorialValuation:
                 direct = vp_oracle(p, fact) if fact > 1 else 0
                 assert factorial_valuation_floor(P, n) == direct
                 assert factorial_valuation_digits(P, n) == direct
+
+    @pytest.mark.usefixtures("deadline")  # without the guard the floor sum loops at q = -1
+    def test_floor_rejects_negative(self):
+        with pytest.raises(UsageError, match="factorial valuation requires n >= 0"):
+            factorial_valuation_floor(Prime(3), -1)
+
+    def test_digits_rejects_negative(self):
+        # without the guard the digit sum fails, with its own message
+        with pytest.raises(UsageError, match="factorial valuation requires n >= 0"):
+            factorial_valuation_digits(Prime(3), -1)
 
     def test_odd_factorial_bound(self):
         # vp((2j+1)!) <= 2j - 1 for j >= 1, any prime.

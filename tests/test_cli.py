@@ -13,9 +13,10 @@ import pytest
 
 from legval import cli
 from legval.arith import Prime
-from legval.cli import _PREDICTORS, main
+from legval.cli import main
 from legval.miner import ValuationTable, build_table
 from legval.sequences import SequenceSpec
+from legval.verify import _PREDICTORS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -102,6 +103,21 @@ class TestValuate:
         code, _, err = run(capsys, "valuate", "--seq", "delannoy", "--p", "9", "--n", "0..2")
         assert code == 2
         assert "not a prime" in err
+
+
+class TestShortStream:
+    # each row pairs an index with its value strictly: a stream that ends
+    # early is a fault, not a shorter output with exit 0
+    @pytest.mark.parametrize("argv, name", [
+        (["eval", "--seq", "delannoy", "--n", "0..5"], "iter_sequence_values"),
+        (["valuate", "--seq", "delannoy", "--p", "3", "--n", "0..5"], "iter_sequence_valuations"),
+    ], ids=["eval", "valuate"])
+    def test_stream_that_ends_early_raises(self, capsys, monkeypatch, argv, name):
+        stream = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: list(stream(*args))[:-1])
+        with pytest.raises(ValueError, match="shorter"):
+            main(argv)
+        assert len(capsys.readouterr().out.splitlines()) == 5
 
 
 class TestPredict:

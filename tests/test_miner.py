@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from legval.arith import INF, PadicVal, Prime
+from legval.arith import INF, PadicVal, Prime, UsageError
 from legval.miner import (
     KernelRankEstimate,
     MinedRelation,
@@ -348,6 +348,12 @@ class TestPersistence:
         assert len({id(v) for v in finite}) == len({v.value for v in finite}) == 3
         assert all(type(v) is PadicVal and v == PadicVal(v.value) for v in finite)
 
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.table"
+        path.write_text("")
+        with pytest.raises(UsageError, match=r"empty\.table: empty table file$"):
+            ValuationTable.load(path)
+
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.table"
         path.write_text("# spec=delannoy p=3 N=1\n0 0\n2 1\n")
@@ -554,6 +560,14 @@ class TestRank:
         table = constant_table(1, 10)
         with pytest.raises(ValueError):
             estimate_kernel_rank(table, 2, 10)
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(UsageError, match="max_e must be >= 0"):
+            estimate_kernel_rank(constant_table(1, 10), -1, 5)
+
+    def test_rejects_empty_prefix(self):
+        with pytest.raises(UsageError, match="prefix_len must be >= 1"):
+            estimate_kernel_rank(constant_table(1, 10), 1, 0)
 
 
 def saved_and_loaded(table):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from legval.arith import INF, PadicVal, Prime, vp_rat
+from legval.arith import INF, PadicVal, Prime, UsageError, vp_rat
 from legval.predictors import (
     PredictionContext,
     predict_b_conjecture1,
@@ -331,6 +331,23 @@ class TestCiglerPredictor:
 
 
 RATIONAL_POINT = (predict_vp_legendre_general, predict_vp_legendre_general_oneline, predict_vp_Q)
+
+
+class TestNegativeIndex:
+    # a digit loop never ends at n = -1, where divmod(-1, 3) is (-1, 2), so
+    # these two run under the deadline: without their guard they fail, not hang
+    @pytest.mark.usefixtures("deadline")
+    @pytest.mark.parametrize("predict", [partial(predict_by_recurrence, Prime(3)), predict_b_conjecture1],
+                             ids=["thm4-rec", "conj1"])
+    def test_digit_loops_reject_at_once(self, predict):
+        with pytest.raises(UsageError, match="index must be >= 0"):
+            predict(-1)
+
+    @pytest.mark.parametrize("predict", [predict_vp_legendre_at_2, predict_cube_sum_v3], ids=["thm5", "conj2"])
+    def test_rejects_before_the_digit_sums(self, predict):
+        # without the guard each fails later, in a digit sum, with another message
+        with pytest.raises(UsageError, match="index must be >= 0"):
+            predict(-1)
 
 
 class TestIntReturns:

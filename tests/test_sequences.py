@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legval.arith import INF, Prime
+from legval.arith import INF, Prime, UsageError
 from legval.sequences import (
     SequenceKind,
     SequenceSpec,
@@ -17,6 +17,7 @@ from legval.sequences import (
     eval_sequence,
     iter_sequence_valuations,
     iter_sequence_values,
+    iter_valuations_with_bits,
     legendre_eval_binomial,
     legendre_eval_rodrigues,
     legendre_eval_square_form,
@@ -122,6 +123,8 @@ class TestSpec:
             SequenceSpec.parse("nosuch")
         with pytest.raises(ValueError):
             SequenceSpec.parse("legendre(3/0)")
+        with pytest.raises(UsageError, match=r"malformed sequence spec: 'legendre\(1\)\(2\)'"):
+            SequenceSpec.parse("legendre(1)(2)")
 
 
 class TestLegendreEvals:
@@ -414,6 +417,15 @@ class TestIterators:
                 got = list(iter_sequence_valuations(spec, p, 50))
                 want = [vp_rat(p, eval_sequence(spec, n)) for n in range(50)]
                 assert got == want
+
+    def test_values_reject_stop_before_start(self):
+        with pytest.raises(UsageError, match=r"bad index range \[5, 3\)"):
+            list(iter_sequence_values(SequenceSpec.delannoy(), 3, 5))
+
+    def test_valuations_reject_stop_before_start(self):
+        # raised when called, before any step: the stream is returned, not yielded
+        with pytest.raises(UsageError, match=r"bad index range \[5, 3\)"):
+            iter_valuations_with_bits(SequenceSpec.delannoy(), Prime(3), 3, 5)
 
     def test_dsum_zero_gives_infinity(self):
         vals = list(iter_sequence_valuations(SequenceSpec.dsum(), Prime(3), 3))

@@ -39,6 +39,10 @@ class TestStatusLogic:
         for cid in CONJECTURE_IDS:
             assert _report(cid, {}, 10, bad).status == "counterexample-found"
 
+    def test_conjectures_are_campaigns(self):
+        # both id sets are stated apart, so a conjecture id must also name a campaign
+        assert CONJECTURE_IDS <= set(THEOREM_IDS)
+
     def test_passed_property(self):
         assert _report("thm4", {}, 1, []).passed
         assert not _report("conj2", {}, 1, [Mismatch(0, "0", "1")]).passed
@@ -193,6 +197,10 @@ class TestHypothesisRejection:
         with pytest.raises(UsageError, match="unknown theorem"):
             run_verification("thm99", 0, 10)
 
+    def test_conj1_unknown_comparison(self):
+        with pytest.raises(UsageError, match="conj1 comparison must be 'oracle' or 'digits', got 'bogus'"):
+            verify_conj1(0, 5, against="bogus")
+
 
 class TestDispatch:
     def test_all_ids_runnable(self):
@@ -292,8 +300,11 @@ class TestMismatchText:
         assert report.mismatches == [Mismatch(4, "2 / 2", "digit form 6/(p-1)")]
 
     def test_formula_agreement_names_each_formula(self, monkeypatch):
+        import legval.verify as verify
+
         self._bump(monkeypatch, "legendre_eval_square_form", lambda n, x: n == 3)
-        report = verify_formula_agreement(0, 6, points=(Fraction(1), Fraction(1, 2)))
+        monkeypatch.setattr(verify, "DEFAULT_RATIONAL_POINTS", (Fraction(1), Fraction(1, 2)))
+        report = verify_formula_agreement(0, 6)
         assert report.status == "fail"
         assert report.checked == 14
         assert report.mismatches == [
@@ -302,10 +313,12 @@ class TestMismatchText:
         ]
 
     def test_eq_ma_rational_detail(self, monkeypatch):
+        import legval.verify as verify
         from legval.sequences import cigler_eval
 
         self._bump(monkeypatch, "cigler_eval", lambda n, x: n == 3)
-        report = verify_eq_ma(0, 6, points=(Fraction(1, 2), Fraction(2)))
+        monkeypatch.setattr(verify, "DEFAULT_RATIONAL_POINTS", (Fraction(1, 2), Fraction(2)))
+        report = verify_eq_ma(0, 6)
         left = cigler_eval(3, Fraction(1, 2))
         assert report.status == "fail"
         assert report.checked == 7  # x = 2 is dropped
