@@ -223,11 +223,14 @@ def digit_sum(p: Prime, n: int) -> int:
 
 def digit_sums(p: Prime, lo: int, hi: int) -> list[int]:
     """Base-p digit sums of lo .. hi-1, by s(c*p**k + j) = s(c) + s(j) for j < p**k:
-    one list of the low sums s(j), p**k >= 4096, and one ``digit_sum`` per block."""
+    one table of the low sums s(j) and one ``digit_sum`` per block of p**k.
+    p**k is the first power at or above 4096 unless its table would pass 2**16
+    entries; then it is the power below, and for p > 2**8 the table is
+    ``range(p)``, the one-digit sums, so no list grows with p."""
     if lo < 0 or hi < lo:
         raise UsageError(f"bad index range [{lo}, {hi})")
-    low = [0]
-    while len(low) < 4096:
+    low = range(p)
+    while len(low) < 4096 and len(low) * p <= 1 << 16:
         low = [s + d for s in low for d in range(p)]
     out, size = [], len(low)
     for c in range(lo // size, -(-hi // size)):

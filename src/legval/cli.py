@@ -4,7 +4,11 @@ Subcommands: ``eval`` (exact values), ``valuate`` (exact valuations),
 ``predict`` (closed-form predictors), ``verify`` (predictor-vs-oracle
 campaigns), ``mine`` (kernel relation search), ``rank`` (kernel rank
 estimate), ``oeis-check`` (b-file comparison).  ``predict`` and ``verify`` read
-their tables from ``legval.verify``, so this module imports no predictor.
+their tables from ``legval.verify``, so this module imports no predictor;
+``predict`` streams a predictor's range form block by block where it has one.
+``mine`` and ``rank`` with ``--cache`` read a saved table only if it loads
+whole (``ValuationTable.load`` checks its header, sha256 and length), and
+else rebuild it and write it again.
 
 Exit codes: 0 all checks passed or skipped, 1 a mathematical mismatch was
 found, 2 argparse's usage errors and ``UsageError``, the one type the library
@@ -24,7 +28,8 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import cache
-from itertools import chain
+from itertools import chain, starmap
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -41,7 +46,15 @@ from .miner import (
 )
 from .oeis import oeis_check
 from .sequences import SequenceKind, SequenceSpec, iter_sequence_valuations, iter_sequence_values
-from .verify import _PREDICTORS, THEOREM_IDS, VerificationReport, _bind_options, run_verification
+from .verify import (
+    _PREDICTORS,
+    _RANGE_FORMS,
+    THEOREM_IDS,
+    VerificationReport,
+    _bind_options,
+    _blocks,
+    run_verification,
+)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -89,24 +102,28 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], rows: Iterable[dict],
             for line in text_lines:
                 out.write(line + "\n")
         elif args.format == "csv":
+            records = map(itemgetter(*fieldnames), rows)  # every row has exactly these keys
             if stamped:
                 fieldnames = fieldnames + ["timestamp"]
-                rows = ({**row, "timestamp": stamp} for row in rows)
-            writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+                records = (record + (stamp,) for record in records)
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(fieldnames)
+            writer.writerows(records)
         else:
+            # one encoder for every row, the one json.dumps(row, sort_keys=True) makes per call
+            encode = json.JSONEncoder(sort_keys=True).encode
+            if stamp:
+                rows = ({**row, "timestamp": stamp} for row in rows)
             for row in rows:
-                if stamp:
-                    row = {**row, "timestamp": stamp}
-                out.write(json.dumps(row, sort_keys=True) + "\n")
+                out.write(encode(row) + "\n")
 
 
 def _stream_rows(args: argparse.Namespace, column: str, indices: range, values: Iterable) -> None:
     """Writes (n, value) rows as computed, with no timestamp; a short stream raises ``ValueError``."""
-    rows = ({"n": n, column: str(v)} for n, v in zip(indices, values, strict=True))
+    pairs = zip(indices, values, strict=True)
+    rows = ({"n": n, column: str(v)} for n, v in pairs)
     # only one of rows and the text lines is consumed, so values is read once
-    _emit(args, ["n", column], rows, (f"{row['n']} {row[column]}" for row in rows), stamped=False)
+    _emit(args, ["n", column], rows, starmap("{} {!s}".format, pairs), stamped=False)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -132,7 +149,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     fn = make(**options)
     lo, hi = _parse_range(args.n)
     first = fn(lo)  # a bad option or index fails here, before any output
-    _stream_rows(args, "predicted", range(lo, hi + 1), chain([first], map(fn, range(lo + 1, hi + 1))))
+    ranged = _RANGE_FORMS.get(args.predictor)
+    if ranged is None:
+        rest = map(fn, range(lo + 1, hi + 1))
+    else:  # one call of the range form per block, on the options fn was built with
+        rest = chain.from_iterable(starmap(ranged(**options), _blocks(lo + 1, hi + 1)))
+    _stream_rows(args, "predicted", range(lo, hi + 1), chain([first], rest))
     return 0
 
 
@@ -177,7 +199,7 @@ def _cached_table(args: argparse.Namespace, spec: SequenceSpec, p: Prime, N: int
     if path.exists():
         try:
             cached = ValuationTable.load(path)
-        except ValueError:
+        except UsageError:
             cached = None
         if cached is not None and cached.spec == spec and cached.p == p and cached.N >= N:
             return cached.truncated(N)

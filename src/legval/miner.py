@@ -3,6 +3,9 @@
 A ``ValuationTable`` stores vp of a sequence's exact values on 0..N: one
 shared ``PadicVal`` per distinct finite value, interned by ``build_table``
 or ``load``, and ``INF``, the float infinity, at zeros, tested by value.
+A saved table is a v2 file: a header that names the spec, p, N and the
+sha256 of the value lines, then one valuation per line for n = 0..N, so
+``load`` checks the file whole and parses it with no loop per line.
 The miner reads the entries as they are: the residue class p**e * n + i is
 the slice ``values[i::p**e]``.  It searches the table for affine relations
 of the single-term shape
@@ -51,6 +54,16 @@ __all__ = [
 DEFAULT_MIN_SUPPORT = 50
 
 
+_HEADER = re.compile(rb"# legval-table v2 spec=(?P<spec>\S+) p=(?P<p>\d+) N=(?P<N>\d+) "
+                     rb"sha256=(?P<sha256>[0-9a-f]{64})")
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # here and not above: only a table read or write pays for its import
+
+    return hashlib.sha256(data).hexdigest()
+
+
 @dataclass(frozen=True)
 class ValuationTable:
     """vp of one sequence on the contiguous index range 0..N."""
@@ -64,14 +77,16 @@ class ValuationTable:
         return len(self.values) - 1
 
     def save(self, path: str | Path) -> None:
-        """Writes the table to a temporary file beside ``path``, then renames
-        it over ``path``, so a failed write leaves any old file intact."""
+        """Writes the table as a v2 file to a temporary file beside ``path``,
+        then renames it over ``path``, so a failed write leaves any old file
+        intact."""
         path = Path(path)
-        lines = [f"# spec={self.spec.canonical()} p={int(self.p)} N={self.N}"]
-        lines.extend(f"{n} {v}" for n, v in enumerate(self.values))
+        body = "\n".join(map(str, self.values)) + "\n"
+        header = (f"# legval-table v2 spec={self.spec.canonical()} p={int(self.p)} N={self.N} "
+                  f"sha256={_sha256(body.encode('ascii'))}\n")
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
+            tmp.write_text(header + body, encoding="ascii")
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -79,33 +94,28 @@ class ValuationTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "ValuationTable":
-        text = Path(path).read_text(encoding="ascii")
-        lines = text.splitlines()
-        if not lines:
+        """The table of a v2 file.  A file that is empty, has another header
+        (a v1 file among them), fails the hash or the line count, or holds a
+        line that is no valuation raises ``UsageError`` naming ``path``."""
+        data = Path(path).read_bytes()
+        if not data:
             raise UsageError(f"{path}: empty table file")
-        m = re.fullmatch(r"# spec=(\S+) p=(\d+) N=(\d+)", lines[0].strip())
-        if not m:
-            raise UsageError(f"{path}: malformed table header: {lines[0]!r}")
-        spec = SequenceSpec.parse(m.group(1))
-        p = Prime(int(m.group(2)))
-        n_expected = int(m.group(3))
-        values: list[int | float] = []
-        parsed = cache(PadicVal.parse)  # each distinct value text is parsed once
-        for lineno, line in enumerate(lines[1:], start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            try:
-                n, value = fields  # ValueError unless exactly two fields
-                if int(n) != len(values):
-                    raise ValueError
-                values.append(parsed(value))
-            except ValueError:
-                raise UsageError(
-                    f"{path}:{lineno}: expected '{len(values)} <value>', got {line!r}") from None
-        if len(values) != n_expected + 1:
-            raise UsageError(f"{path}: header says N={n_expected} but {len(values)} entries present")
-        return cls(spec, p, tuple(values))
+        header, _, body = data.partition(b"\n")
+        m = _HEADER.fullmatch(header)
+        if m is None:
+            shown = header[:80].decode("ascii", "replace")
+            raise UsageError(f"{path}: not a legval-table v2 header: {shown!r}")
+        if _sha256(body) != m["sha256"].decode():
+            raise UsageError(f"{path}: value lines do not match the header's sha256")
+        try:
+            spec, p = SequenceSpec.parse(m["spec"].decode()), Prime(int(m["p"]))
+            # each distinct value text is parsed once, so equal values share one object
+            values = tuple(map(cache(PadicVal.parse), body.decode("ascii").splitlines()))
+        except ValueError as exc:  # a UsageError of the header, or a line that is no valuation
+            raise UsageError(f"{path}: {exc}") from None
+        if len(values) != int(m["N"]) + 1:
+            raise UsageError(f"{path}: header says N={int(m['N'])} but {len(values)} entries present")
+        return cls(spec, p, values)
 
     def truncated(self, N: int) -> "ValuationTable":
         if N < 0:

@@ -46,6 +46,7 @@ __all__ = [
     "predict_vp_legendre_at_2",
     "recurrence_step",
     "predict_by_recurrence",
+    "predict_by_recurrence_range",
     "predict_b_conjecture1",
     "predict_b_conjecture1_range",
     "predict_strauss_shallit",
@@ -172,6 +173,24 @@ def predict_by_recurrence(p: Prime, n: int) -> int:
         parity = (parity + a) % 2  # p*m + a ≡ m + a (mod 2), as p is odd
         f += parity  # recurrence_step: f(p*m + a) = f(m) + ((m + a) mod 2)
     return f
+
+
+def predict_by_recurrence_range(p: Prime, lo: int, hi: int) -> list[int]:
+    """f(lo) .. f(hi-1) of ``predict_by_recurrence`` from the range of the
+    prefixes t = n // p, by f(p*t + a) = f(t) + ((t + a) mod 2)."""
+    _require_odd_prime(p)
+    if lo < 0 or hi < lo:
+        raise UsageError(f"bad index range [{lo}, {hi})")
+    if hi - lo < max(p, 32):  # too short to pay for a sub-range and its slices of p*(t1 - t0)
+        return [predict_by_recurrence(p, n) for n in range(lo, hi)]
+    t0, t1 = lo // p, -(-hi // p)  # the prefixes of [p*t0, p*t1), which holds [lo, hi)
+    prefixes = predict_by_recurrence_range(p, t0, t1)
+    out = [0] * (p * (t1 - t0))
+    even = [f + t % 2 for t, f in enumerate(prefixes, t0)]  # the children p*t + a of even a
+    odd = [f + 1 - t % 2 for t, f in enumerate(prefixes, t0)]
+    for a in range(p):
+        out[a::p] = odd if a % 2 else even
+    return out[lo - p * t0:hi - p * t0]
 
 
 def predict_b_conjecture1(i: int) -> int:

@@ -9,7 +9,9 @@ digits holds its predictor lists one block at a time, from any start.  Open
 conjectures report a mismatch as ``counterexample-found``, not ``fail``.
 A bad input or a violated hypothesis raises ``UsageError`` where it is checked.
 ``_CAMPAIGNS`` and ``_PREDICTORS`` map the ids of ``legval verify`` and
-``legval predict`` to their campaigns and predictor builders.
+``legval predict`` to their campaigns and predictor builders, and
+``_RANGE_FORMS`` the predictors that have one to their range forms, which
+``predict`` streams a block of ``_BLOCK`` indices at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product
+from itertools import chain, islice, product, repeat, starmap
 from math import comb
 
 from .arith import Prime, UsageError, digit_sum, unlimited_int_digits, vp_int, vp_rat
@@ -29,6 +31,7 @@ from .predictors import (
     predict_b_conjecture1,
     predict_b_conjecture1_range,
     predict_by_recurrence,
+    predict_by_recurrence_range,
     predict_cube_sum_v3,
     predict_strauss_shallit,
     predict_vp_Q,
@@ -82,7 +85,7 @@ class VerificationReport:
         return self.status in ("pass", "skipped")
 
 
-_BLOCK = 3**10  # conj1 --against digits holds its two predictor lists this many indices at a time
+_BLOCK = 3**10  # a range form's list holds at most this many indices (see ``_blocks``)
 
 DEFAULT_RATIONAL_POINTS: tuple[Fraction, ...] = (
     Fraction(0),
@@ -150,6 +153,13 @@ def _range_params(lo: int, hi: int, **extra: str) -> dict[str, str]:
     return params
 
 
+def _blocks(lo: int, stop: int) -> Iterator[tuple[int, int]]:
+    """The (start, stop) of the pieces of [lo, stop) cut at the multiples of
+    ``_BLOCK``, for range forms that hold one piece's list at a time."""
+    cuts = range(lo - lo % _BLOCK + _BLOCK, stop, _BLOCK)
+    return zip(chain([lo], cuts), chain(cuts, [stop]))
+
+
 def _valuations(spec: SequenceSpec, p: Prime, indices: range) -> Iterator[tuple[int, int | float]]:
     """(n, vp at n) for each n of ``indices``, a range of step 1 or 2, from one stream."""
     vals = iter_sequence_valuations(spec, p, indices.stop, indices.start)
@@ -160,11 +170,15 @@ def verify_thm4(p: Prime, lo: int, hi: int) -> VerificationReport:
     """All three predictors for vp(P_n(p)), odd p, against the exact oracle."""
     p = _require_odd(p, "thm4")
     params = _range_params(lo, hi, p=str(int(p)))
-    return _report("thm4", params, hi - lo + 1, (_differ(n, {
-        "cases": predict_vp_legendre_at_p_cases(p, n),
-        "digits": predict_vp_legendre_at_p_digits(p, n),
-        "recurrence": predict_by_recurrence(p, n),
-    }, actual) for n, actual in _valuations(SequenceSpec.legendre(p), p, range(lo, hi + 1))))
+    indices = range(lo, hi + 1)
+    rows = zip(_valuations(SequenceSpec.legendre(p), p, indices),
+               map(predict_vp_legendre_at_p_cases, repeat(p), indices),
+               map(predict_vp_legendre_at_p_digits, repeat(p), indices),
+               map(predict_by_recurrence, repeat(p), indices), strict=True)
+    # the ints are compared first; the dict of named values is built for a mismatch only
+    return _report("thm4", params, len(indices), (
+        _differ(n, {"cases": c, "digits": d, "recurrence": f}, actual)
+        for (n, actual), c, d, f in rows if not c == d == f == actual))
 
 
 def verify_thm5(lo: int, hi: int) -> VerificationReport:
@@ -178,10 +192,13 @@ def verify_thm3(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport:
     """Both general predictors for vp(P_n(r)), vp(r) >= 1, against the oracle."""
     ctx = PredictionContext(p, r)
     params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
-    return _report("thm3", params, hi - lo + 1, (_differ(n, {
-        "cases": predict_vp_legendre_general(ctx, n),
-        "oneline": predict_vp_legendre_general_oneline(ctx, n),
-    }, actual) for n, actual in _valuations(SequenceSpec.legendre(r), p, range(lo, hi + 1))))
+    indices = range(lo, hi + 1)
+    rows = zip(_valuations(SequenceSpec.legendre(r), p, indices),
+               map(predict_vp_legendre_general, repeat(ctx), indices),
+               map(predict_vp_legendre_general_oneline, repeat(ctx), indices), strict=True)
+    return _report("thm3", params, len(indices), (
+        _differ(n, {"cases": c, "oneline": o}, actual)
+        for (n, actual), c, o in rows if not c == o == actual))
 
 
 def verify_thm6(p: Prime, lo: int, hi: int) -> VerificationReport:
@@ -220,11 +237,17 @@ def verify_conj1(lo: int, hi: int, against: str = "oracle") -> VerificationRepor
     if against == "oracle":
         return _report("conj1", params, hi - lo + 1, (_differ(i, predict_b_conjecture1(i), actual)
             for i, actual in _valuations(SequenceSpec.delannoy(), p3, range(lo, hi + 1))))
-    blocks = (range(a, min(a + _BLOCK, hi + 1)) for a in range(lo, hi + 1, _BLOCK))
-    return _report("conj1", params, hi - lo + 1, (_differ(i, b, d) for block in blocks
-        for i, b, d in zip(block, predict_b_conjecture1_range(block.start, block.stop),
-                           predict_vp_legendre_at_p_digits_range(p3, block.start, block.stop),
-                           strict=True) if b != d))
+
+    def block_mismatches(a: int, z: int) -> list[Mismatch | None]:
+        # the two lists are compared whole, walked only where they differ, and
+        # dropped on return, so one block's lists are held at a time
+        bs, ds = predict_b_conjecture1_range(a, z), predict_vp_legendre_at_p_digits_range(p3, a, z)
+        if bs == ds:
+            return []
+        return [_differ(i, b, d) for i, b, d in zip(range(a, z), bs, ds, strict=True) if b != d]
+
+    blocks = starmap(block_mismatches, _blocks(lo, hi + 1))
+    return _report("conj1", params, hi - lo + 1, chain.from_iterable(blocks))
 
 
 def verify_conj2(lo: int, hi: int) -> VerificationReport:
@@ -348,6 +371,13 @@ _PREDICTORS = {
     "conj1": lambda: predict_b_conjecture1,
     "conj2": lambda: predict_cube_sum_v3,
     "strauss": lambda: predict_strauss_shallit,
+}
+# predictor id: the builder of its range form, f(lo, hi) -> [f(lo), ..., f(hi - 1)],
+# for the ids that have one; it takes the options of the id's _PREDICTORS entry
+_RANGE_FORMS = {
+    "thm4-digits": lambda p: partial(predict_vp_legendre_at_p_digits_range, p),
+    "thm4-rec": lambda p: partial(predict_by_recurrence_range, p),
+    "conj1": lambda: predict_b_conjecture1_range,
 }
 
 

@@ -273,6 +273,22 @@ class TestDigitSum:
             with pytest.raises(ValueError, match="bad index range"):
                 digit_sums(Prime(3), lo, hi)
 
+    @pytest.mark.parametrize("p", [257, 1000003])
+    def test_large_p_allocates_nothing_of_its_size(self, p):
+        # past 2**16 table entries the low sums are range(p), not a list of p
+        # or p**2 entries, across block ends
+        import tracemalloc
+
+        lo = 3 * p - 5
+        tracemalloc.start()
+        try:
+            got = digit_sums(Prime(p), lo, lo + 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [digit_sum(Prime(p), n) for n in range(lo, lo + 100)]
+        assert peak < 2**16
+
     def test_digit_shift_identity(self):
         # s_p(n*p + a) = s_p(n) + a for 0 <= a < p.
         for p in (2, 3, 5, 7):

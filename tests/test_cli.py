@@ -152,6 +152,19 @@ class TestPredict:
             main(["predict", "--predictor", "conj2", "--n", "0..100000000"])
         assert capsys.readouterr().out.splitlines() == ["0 0", "1 1", "2 2"]
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
+    @pytest.mark.parametrize("predictor, p", [("thm4-rec", "3"), ("thm4-digits", "3"), ("conj1", "3"),
+                                              ("thm4-rec", "1000003"), ("thm4-digits", "1000003")])
+    def test_range_forms_print_what_pointwise_prints(self, capsys, monkeypatch, predictor, p, fmt):
+        # 59000..59100 crosses 3**10, where predict cuts its range-form blocks;
+        # at p = 1000003 the range forms must not allocate a list of p entries
+        argv = ["--no-timestamp", "--format", fmt, "predict", "--predictor", predictor,
+                "--p", p, "--n", "59000..59100"]
+        streamed = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_RANGE_FORMS", {})  # every predictor row by row
+        assert streamed == run(capsys, *argv)
+        assert streamed[0] == 0 and len(streamed[1].splitlines()) == 101 + (fmt == "csv")
+
 
 # the options each predictor requires, as its usage error names them
 PREDICTOR_REQUIRES = {
@@ -270,6 +283,25 @@ class TestMine:
         path.write_text("# spec=dsum p=3 N=729\n0 0\n1 garbage\n")
         assert run(capsys, "--cache", str(tmp_path), *mine) == fresh
         assert ValuationTable.load(path) == build_table(SequenceSpec.dsum(), Prime(3), 729)
+
+    @pytest.mark.parametrize("damage", ["tampered", "v1"])
+    def test_tampered_or_v1_cache_file_is_rebuilt(self, capsys, tmp_path, damage):
+        # a value line edited under the hash, or the whole table in the format
+        # before the hash, prints what a fresh run prints and is rewritten as v2
+        mine = ["--no-timestamp", "mine", "--seq", "dsum", "--p", "3", "--N", "729", "--max-e", "2"]
+        fresh = run(capsys, *mine)
+        table = build_table(SequenceSpec.dsum(), Prime(3), 729)
+        path = tmp_path / "dsum_p3.table"
+        if damage == "tampered":
+            table.save(path)
+            header, *lines = path.read_text().splitlines()
+            lines[9] = "0"  # V(9) = V(3) + 2 = 4, so a table read from this file breaks V(3n) = V(n) + 2
+            path.write_text("\n".join([header, *lines]) + "\n")
+        else:
+            path.write_text("# spec=dsum p=3 N=729\n" + "".join(f"{n} {v}\n" for n, v in enumerate(table.values)))
+        assert run(capsys, "--cache", str(tmp_path), *mine) == fresh
+        assert path.read_text().startswith("# legval-table v2 spec=dsum p=3 N=729 sha256=")
+        assert ValuationTable.load(path) == table
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "mined.txt"

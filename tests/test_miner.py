@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,12 @@ from legval.miner import (
 from legval.sequences import SequenceSpec
 
 P3 = Prime(3)
+
+
+def write_v2(path: Path, header: str, body: str) -> None:
+    """A table file of ``header``, completed by the sha256 of ``body``, then ``body``."""
+    data = body.encode("utf-8")
+    path.write_bytes(f"{header} sha256={hashlib.sha256(data).hexdigest()}\n".encode() + data)
 
 # The seven base-3 relations of A(n) = v3(d(n)) with d(n) the sum of C(2i,i)
 # over i < n, as (e, i, e2, j, c).  The classical display of this family
@@ -338,15 +345,22 @@ class TestPersistence:
         assert ValuationTable.load(path) == t
 
     def test_load_shares_one_object_per_value(self, tmp_path):
-        # each distinct value text is parsed once; blank lines are skipped
+        # each distinct value text is parsed once
         path = tmp_path / "t.table"
-        path.write_text("# spec=dsum p=3 N=7\n0 inf\n1 0\n2 1\n\n3 0\n  \n4 -2\n5 1\n6 inf\n7 -2\n")
+        write_v2(path, "# legval-table v2 spec=dsum p=3 N=7", "inf\n0\n1\n0\n-2\n1\ninf\n-2\n")
         values = ValuationTable.load(path).values
         assert values == (INF, 0, 1, 0, -2, 1, INF, -2)
         assert values[0] is INF and values[6] is INF
         finite = [v for v in values if not v.is_infinite]
         assert len({id(v) for v in finite}) == len({v.value for v in finite}) == 3
         assert all(type(v) is PadicVal and v == PadicVal(v.value) for v in finite)
+
+    def test_file_is_v2_header_and_one_value_per_line(self, tmp_path):
+        path = tmp_path / "delannoy.table"
+        build_table(SequenceSpec.delannoy(), P3, 4).save(path)
+        body = "0\n1\n0\n2\n1\n"
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        assert path.read_text() == f"# legval-table v2 spec=delannoy p=3 N=4 sha256={digest}\n{body}"
 
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.table"
@@ -355,24 +369,43 @@ class TestPersistence:
             ValuationTable.load(path)
 
     def test_rejects_malformed(self, tmp_path):
+        # every error is a UsageError that names the file
         path = tmp_path / "bad.table"
-        path.write_text("# spec=delannoy p=3 N=1\n0 0\n2 1\n")
-        with pytest.raises(ValueError, match=r"bad\.table:3: expected '1 <value>', got '2 1'$"):
+        head = "# legval-table v2 spec=delannoy p=3 N={}"
+        write_v2(path, head.format(1), "0\n1\n2\n")
+        with pytest.raises(UsageError, match=r"bad\.table: header says N=1 but 3 entries present$"):
             ValuationTable.load(path)
-        path.write_text("# spec=delannoy p=3 N=1\n0 0\n1 1 1\n")
-        with pytest.raises(ValueError, match=r"bad\.table:3: expected '1 <value>', got '1 1 1'$"):
-            ValuationTable.load(path)
-        path.write_text("# spec=delannoy p=3 N=2\n0 0\n1 1\n")
-        with pytest.raises(ValueError, match=r"bad\.table: header says N=2 but 2 entries present$"):
+        write_v2(path, head.format(2), "0\n1\n")
+        with pytest.raises(UsageError, match=r"bad\.table: header says N=2 but 2 entries present$"):
             ValuationTable.load(path)
         path.write_text("no header\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match=r"bad\.table: not a legval-table v2 header: 'no header'$"):
             ValuationTable.load(path)
-        # a field that is not an int names the file and line like every other error
-        for line in ("x 1", "1 abc", "1 1.5"):
-            path.write_text(f"# spec=delannoy p=3 N=1\n0 0\n{line}\n")
-            with pytest.raises(ValueError, match=rf"bad\.table:3: expected '1 <value>', got '{line}'"):
+        # a value line that is no valuation, under a hash that matches it
+        for body in ("0\nabc\n", "0\n1.5\n", "0\n\n", "0 0\n1 1\n", "0\n\xe9\n"):
+            write_v2(path, head.format(1), body)
+            with pytest.raises(UsageError, match=r"bad\.table: "):
                 ValuationTable.load(path)
+        for header in ("# legval-table v2 spec=bogus p=3 N=1", "# legval-table v2 spec=dsum p=4 N=1"):
+            write_v2(path, header, "0\n1\n")
+            with pytest.raises(UsageError, match=r"bad\.table: "):
+                ValuationTable.load(path)
+
+    def test_rejects_an_edited_value_line(self, tmp_path):
+        path = tmp_path / "dsum.table"
+        build_table(SequenceSpec.dsum(), P3, 40).save(path)
+        header, *lines = path.read_text().splitlines()
+        lines[7] = str(int(lines[7]) + 1)  # still a valuation, and the count is unchanged
+        path.write_text("\n".join([header, *lines]) + "\n")
+        with pytest.raises(UsageError, match=r"dsum\.table: value lines do not match the header's sha256$"):
+            ValuationTable.load(path)
+
+    def test_rejects_v1_file(self, tmp_path):
+        # the format before the hash: a header with no version, then 'n value' lines
+        path = tmp_path / "v1.table"
+        path.write_text("# spec=dsum p=3 N=3\n0 inf\n1 0\n2 1\n3 2\n")
+        with pytest.raises(UsageError, match=r"v1\.table: not a legval-table v2 header: '# spec=dsum p=3 N=3'$"):
+            ValuationTable.load(path)
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         import pathlib

@@ -13,6 +13,7 @@ from legval.predictors import (
     predict_b_conjecture1,
     predict_b_conjecture1_range,
     predict_by_recurrence,
+    predict_by_recurrence_range,
     predict_cube_sum_v3,
     predict_strauss_shallit,
     predict_vp_Q,
@@ -35,7 +36,7 @@ from legval.sequences import (
     legendre_eval_rodrigues,
     partial_sum_central_binomial,
 )
-from legval.verify import CONJECTURE_IDS
+from legval.verify import _BLOCK, CONJECTURE_IDS
 
 GENERAL_CASES = [
     (Prime(3), Fraction(3)),
@@ -220,6 +221,43 @@ class TestRecurrence:
         for n, want in [*enumerate(folded), *((n, fold(n)) for n in near)]:
             got = predict_by_recurrence(p, n)
             assert type(got) is int and got == want, (p, n)
+
+    @settings(deadline=None, max_examples=40)
+    @given(p=st.sampled_from((3, 5, 7, 11)),
+           lo=st.integers(0, 10**40) | st.integers(0, 10**5)
+           | st.builds(lambda k, back: max(k * _BLOCK - back, 0), st.integers(1, 10**6), st.integers(0, 500)),
+           length=st.integers(0, 9000))
+    @example(p=3, lo=0, length=9000)
+    @example(p=3, lo=_BLOCK - 40, length=100)  # across the first multiple of the predict block
+    @example(p=7, lo=7**40 - 1, length=33)  # just past the pointwise cut-off, across a power of p
+    def test_range_matches_pointwise(self, p, lo, length):
+        # built from the range of the prefixes n // p, by f(n) = (n mod 2) + f(n // p)
+        batch = predict_by_recurrence_range(Prime(p), lo, lo + length)
+        assert batch == [predict_by_recurrence(Prime(p), n) for n in range(lo, lo + length)]
+
+    @pytest.mark.parametrize("p", [101, 1000003])
+    def test_range_of_large_p_allocates_nothing_of_its_size(self, p):
+        # a range shorter than p is folded pointwise, not sliced into p children
+        # of each prefix; a longer one holds at most about three times its length
+        import tracemalloc
+
+        for lo, length in ((5 * p - 3, 60), (p * p - 50, 3 * p)):
+            length = min(length, 2000)
+            tracemalloc.start()
+            try:
+                got = predict_by_recurrence_range(Prime(p), lo, lo + length)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == [predict_by_recurrence(Prime(p), n) for n in range(lo, lo + length)]
+            assert peak < 2**16
+
+    def test_range_rejects_bad_input(self):
+        for lo, hi in ((-1, 3), (5, 4)):
+            with pytest.raises(UsageError, match="bad index range"):
+                predict_by_recurrence_range(Prime(3), lo, hi)
+        with pytest.raises(UsageError, match="odd prime"):
+            predict_by_recurrence_range(Prime(2), 0, 100)
 
 
 class TestConjecture1:

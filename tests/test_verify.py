@@ -268,10 +268,11 @@ class TestMismatchText:
             assert m.detail == f"value={cube_sum_2k(5300)}"
         assert len(m.detail) > 4300
 
-    @pytest.mark.parametrize("offset", [0, 3**10 - 1, 3**10, 3**10 + 7, 2 * 3**10 + 10])
+    @pytest.mark.parametrize("offset", [0, 3**10 - 6, 3**10 - 5, 3**10 - 1, 3**10, 3**10 + 7, 2 * 3**10 + 10])
     def test_conj1_digits_mismatch_in_any_block(self, monkeypatch, offset):
-        # from lo = 5: the range's first index, the last of the first block,
-        # the first and an inner one of the second, and the range's last
+        # blocks are cut at the multiples of 3**10; from lo = 5: the range's
+        # first index, the last of the first block, the first and three inner
+        # ones of the second, and the range's last, in the third
         import legval.verify as verify
         from legval.predictors import predict_b_conjecture1
 
