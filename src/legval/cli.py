@@ -5,7 +5,7 @@ Subcommands: ``eval`` (exact values), ``valuate`` (exact valuations),
 campaigns), ``mine`` (kernel relation search), ``rank`` (kernel rank
 estimate), ``oeis-check`` (b-file comparison).  ``predict`` and ``verify`` read
 their tables from ``legval.verify``, so this module imports no predictor;
-``predict`` streams a predictor's range form block by block where it has one.
+``predict`` streams a predictor's range form block by block.
 ``mine`` and ``rank`` with ``--cache`` read a saved table only if it loads
 whole (``ValuationTable.load`` checks its header, sha256 and length), and
 else rebuild it and write it again.
@@ -28,7 +28,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import cache
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
@@ -48,11 +48,11 @@ from .oeis import oeis_check
 from .sequences import SequenceKind, SequenceSpec, iter_sequence_valuations, iter_sequence_values
 from .verify import (
     _PREDICTORS,
-    _RANGE_FORMS,
+    CONJ1_AGAINST,
     THEOREM_IDS,
     VerificationReport,
     _bind_options,
-    _blocks,
+    _predictions,
     run_verification,
 )
 
@@ -121,6 +121,7 @@ def _emit(args: argparse.Namespace, fieldnames: list[str], rows: Iterable[dict],
 def _stream_rows(args: argparse.Namespace, column: str, indices: range, values: Iterable) -> None:
     """Writes (n, value) rows as computed, with no timestamp; a short stream raises ``ValueError``."""
     pairs = zip(indices, values, strict=True)
+    pairs = chain(list(islice(pairs, 1)), pairs)  # the first pair before any output, so bad input writes none
     rows = ({"n": n, column: str(v)} for n, v in pairs)
     # only one of rows and the text lines is consumed, so values is read once
     _emit(args, ["n", column], rows, starmap("{} {!s}".format, pairs), stamped=False)
@@ -145,16 +146,10 @@ def cmd_valuate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     make = _PREDICTORS[args.predictor]
     p = Prime(args.p) if args.p is not None else None
-    options = _bind_options(f"predictor {args.predictor}", make, {"p": p, "r": args.r})
-    fn = make(**options)
+    form = make(**_bind_options(f"predictor {args.predictor}", make, {"p": p, "r": args.r}))
     lo, hi = _parse_range(args.n)
-    first = fn(lo)  # a bad option or index fails here, before any output
-    ranged = _RANGE_FORMS.get(args.predictor)
-    if ranged is None:
-        rest = map(fn, range(lo + 1, hi + 1))
-    else:  # one call of the range form per block, on the options fn was built with
-        rest = chain.from_iterable(starmap(ranged(**options), _blocks(lo + 1, hi + 1)))
-    _stream_rows(args, "predicted", range(lo, hi + 1), chain([first], rest))
+    indices = range(lo, hi + 1)
+    _stream_rows(args, "predicted", indices, _predictions(form, indices))
     return 0
 
 
@@ -324,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=int, default=None)
     s.add_argument("--r", type=parse_rational, default=None)
     s.add_argument("--n", required=True)
-    s.add_argument("--against", choices=("oracle", "digits"), default="oracle",
+    s.add_argument("--against", choices=CONJ1_AGAINST, default="oracle",
                    help="conj1 only: compare with the exact oracle or the digit formula")
     s.set_defaults(func=cmd_verify)
 

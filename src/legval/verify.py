@@ -4,14 +4,14 @@ Each campaign sweeps an inclusive index range, compares a predictor with the
 independently computed exact valuation (or two independent exact evaluations
 with each other), and returns a ``VerificationReport`` listing every mismatch.
 Exact valuations come from streams, read as each index is checked, so no
-campaign holds a table (thm6 reads n and p*n + a from two), and conj1 against
-digits holds its predictor lists one block at a time, from any start.  Open
-conjectures report a mismatch as ``counterexample-found``, not ``fail``.
+campaign holds a table (thm6 reads n and p*n + a from two), and thm4's digit
+and recurrence forms and conj1's b are read from their range forms one block
+of ``_BLOCK`` indices at a time, from any start.  Open conjectures report a
+mismatch as ``counterexample-found``, not ``fail``.
 A bad input or a violated hypothesis raises ``UsageError`` where it is checked.
 ``_CAMPAIGNS`` and ``_PREDICTORS`` map the ids of ``legval verify`` and
-``legval predict`` to their campaigns and predictor builders, and
-``_RANGE_FORMS`` the predictors that have one to their range forms, which
-``predict`` streams a block of ``_BLOCK`` indices at a time.
+``legval predict`` to their campaigns and to the builders of the predictors'
+range forms, which ``predict`` streams through ``_predictions``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .arith import Prime, UsageError, digit_sum, unlimited_int_digits, vp_int, v
 from .miner import build_table  # not called here; bench/tracing.py patches verify.build_table
 from .predictors import (
     PredictionContext,
-    predict_b_conjecture1,
     predict_b_conjecture1_range,
-    predict_by_recurrence,
     predict_by_recurrence_range,
     predict_cube_sum_v3,
     predict_strauss_shallit,
@@ -38,7 +36,6 @@ from .predictors import (
     predict_vp_cigler,
     predict_vp_legendre_at_2,
     predict_vp_legendre_at_p_cases,
-    predict_vp_legendre_at_p_digits,
     predict_vp_legendre_at_p_digits_range,
     predict_vp_legendre_general,
     predict_vp_legendre_general_oneline,
@@ -59,6 +56,7 @@ __all__ = [
     "VerificationReport",
     "THEOREM_IDS",
     "CONJECTURE_IDS",
+    "CONJ1_AGAINST",
     "DEFAULT_RATIONAL_POINTS",
     "run_verification",
 ]
@@ -160,6 +158,17 @@ def _blocks(lo: int, stop: int) -> Iterator[tuple[int, int]]:
     return zip(chain([lo], cuts), chain(cuts, [stop]))
 
 
+def _predictions(form: Callable[[int, int], Iterable], indices: range) -> Iterator:
+    """The values of the range form ``form`` at ``indices``, a range of step 1,
+    read one ``_blocks`` piece at a time."""
+    return chain.from_iterable(starmap(form, _blocks(indices.start, indices.stop)))
+
+
+def _each(fn: Callable[[int], object]) -> Callable[[int, int], Iterator]:
+    """The range form of a per-index predictor, computed lazily, one index at a time."""
+    return lambda lo, hi: map(fn, range(lo, hi))
+
+
 def _valuations(spec: SequenceSpec, p: Prime, indices: range) -> Iterator[tuple[int, int | float]]:
     """(n, vp at n) for each n of ``indices``, a range of step 1 or 2, from one stream."""
     vals = iter_sequence_valuations(spec, p, indices.stop, indices.start)
@@ -173,8 +182,8 @@ def verify_thm4(p: Prime, lo: int, hi: int) -> VerificationReport:
     indices = range(lo, hi + 1)
     rows = zip(_valuations(SequenceSpec.legendre(p), p, indices),
                map(predict_vp_legendre_at_p_cases, repeat(p), indices),
-               map(predict_vp_legendre_at_p_digits, repeat(p), indices),
-               map(predict_by_recurrence, repeat(p), indices), strict=True)
+               _predictions(partial(predict_vp_legendre_at_p_digits_range, p), indices),
+               _predictions(partial(predict_by_recurrence_range, p), indices), strict=True)
     # the ints are compared first; the dict of named values is built for a mismatch only
     return _report("thm4", params, len(indices), (
         _differ(n, {"cases": c, "digits": d, "recurrence": f}, actual)
@@ -230,13 +239,14 @@ def verify_thm7(p: Prime, lo: int, hi: int) -> VerificationReport:
 def verify_conj1(lo: int, hi: int, against: str = "oracle") -> VerificationReport:
     """Conjectured 3-adic Delannoy valuations, either against the exact
     Delannoy oracle or against the digit formula (fast, for huge ranges)."""
-    if against not in ("oracle", "digits"):
-        raise UsageError(f"conj1 comparison must be 'oracle' or 'digits', got {against!r}")
+    if against not in CONJ1_AGAINST:
+        raise UsageError(f"conj1 comparison must be {' or '.join(map(repr, CONJ1_AGAINST))}, got {against!r}")
     params = _range_params(lo, hi, against=against)
-    p3 = Prime(3)
+    p3, indices = Prime(3), range(lo, hi + 1)
     if against == "oracle":
-        return _report("conj1", params, hi - lo + 1, (_differ(i, predict_b_conjecture1(i), actual)
-            for i, actual in _valuations(SequenceSpec.delannoy(), p3, range(lo, hi + 1))))
+        rows = zip(_valuations(SequenceSpec.delannoy(), p3, indices),
+                   _predictions(predict_b_conjecture1_range, indices), strict=True)
+        return _report("conj1", params, len(indices), (_differ(i, b, actual) for (i, actual), b in rows))
 
     def block_mismatches(a: int, z: int) -> list[Mismatch | None]:
         # the two lists are compared whole, walked only where they differ, and
@@ -247,7 +257,7 @@ def verify_conj1(lo: int, hi: int, against: str = "oracle") -> VerificationRepor
         return [_differ(i, b, d) for i, b, d in zip(range(a, z), bs, ds, strict=True) if b != d]
 
     blocks = starmap(block_mismatches, _blocks(lo, hi + 1))
-    return _report("conj1", params, hi - lo + 1, chain.from_iterable(blocks))
+    return _report("conj1", params, len(indices), chain.from_iterable(blocks))
 
 
 def verify_conj2(lo: int, hi: int) -> VerificationReport:
@@ -355,29 +365,25 @@ THEOREM_IDS = tuple(_CAMPAIGNS)
 # a mismatch is a counterexample-found, not a fail: conj1 is proved only in the
 # p = 3 reading and kept flagged; conj2 is open, and its mismatches are findings
 CONJECTURE_IDS = frozenset({"conj1", "conj2"})
+# what conj1 compares its predictor with: the exact oracle, or the thm4 digit formula at p = 3
+CONJ1_AGAINST = ("oracle", "digits")
 
-# predictor id: the builder of its per-index function, whose parameters are the
+# predictor id: the builder of its range form f(lo, hi), the values at lo .. hi - 1
+# (``_each`` of its per-index form where it has no other), whose parameters are the
 # options it requires.  Builders look predictor names up here when a command runs:
 # bench/tracing.py counts calls to these names, and would count 0 from predictors.py.
 _PREDICTORS = {
-    "thm3": lambda p, r: partial(predict_vp_legendre_general, PredictionContext(p, r)),
-    "thm3-oneline": lambda p, r: partial(predict_vp_legendre_general_oneline, PredictionContext(p, r)),
-    "thm4": lambda p: partial(predict_vp_legendre_at_p_cases, p),
-    "thm4-digits": lambda p: partial(predict_vp_legendre_at_p_digits, p),
-    "thm4-rec": lambda p: partial(predict_by_recurrence, p),
-    "thm5": lambda: predict_vp_legendre_at_2,
-    "q": lambda p, r: partial(predict_vp_Q, PredictionContext(p, r)),
-    "cigler": lambda p: partial(predict_vp_cigler, p),
-    "conj1": lambda: predict_b_conjecture1,
-    "conj2": lambda: predict_cube_sum_v3,
-    "strauss": lambda: predict_strauss_shallit,
-}
-# predictor id: the builder of its range form, f(lo, hi) -> [f(lo), ..., f(hi - 1)],
-# for the ids that have one; it takes the options of the id's _PREDICTORS entry
-_RANGE_FORMS = {
+    "thm3": lambda p, r: _each(partial(predict_vp_legendre_general, PredictionContext(p, r))),
+    "thm3-oneline": lambda p, r: _each(partial(predict_vp_legendre_general_oneline, PredictionContext(p, r))),
+    "thm4": lambda p: _each(partial(predict_vp_legendre_at_p_cases, p)),
     "thm4-digits": lambda p: partial(predict_vp_legendre_at_p_digits_range, p),
     "thm4-rec": lambda p: partial(predict_by_recurrence_range, p),
+    "thm5": lambda: _each(predict_vp_legendre_at_2),
+    "q": lambda p, r: _each(partial(predict_vp_Q, PredictionContext(p, r))),
+    "cigler": lambda p: _each(partial(predict_vp_cigler, p)),
     "conj1": lambda: predict_b_conjecture1_range,
+    "conj2": lambda: _each(predict_cube_sum_v3),
+    "strauss": lambda: _each(predict_strauss_shallit),
 }
 
 

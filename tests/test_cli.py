@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from legval import cli
-from legval.arith import Prime
+from legval.arith import Prime, UsageError
 from legval.cli import main
 from legval.miner import ValuationTable, build_table
+from legval.predictors import predict_b_conjecture1, predict_by_recurrence, predict_vp_legendre_at_p_digits
 from legval.sequences import SequenceSpec
 from legval.verify import _PREDICTORS
 
@@ -120,6 +121,22 @@ class TestShortStream:
         assert len(capsys.readouterr().out.splitlines()) == 5
 
 
+class TestFirstValueFailsBeforeOutput:
+    # eval, valuate and predict compute their first row before writing, so a
+    # stream that raises UsageError at its first value writes no csv header
+    @pytest.mark.parametrize("argv, name", [
+        (["eval", "--seq", "delannoy", "--n", "0..5"], "iter_sequence_values"),
+        (["valuate", "--seq", "delannoy", "--p", "3", "--n", "0..5"], "iter_sequence_valuations"),
+    ], ids=["eval", "valuate"])
+    def test_stream_that_fails_first_writes_nothing(self, capsys, monkeypatch, argv, name):
+        def stream(*args):
+            raise UsageError("stream fails at its first value")
+            yield
+
+        monkeypatch.setattr(cli, name, stream)
+        assert run(capsys, "--format", "csv", *argv) == (2, "", "error: stream fails at its first value\n")
+
+
 class TestPredict:
     def test_thm4(self, capsys):
         code, out, _ = run(capsys, "predict", "--predictor", "thm4", "--p", "3", "--n", "0..4")
@@ -147,7 +164,7 @@ class TestPredict:
                 raise RuntimeError("stub predictor stops at n = 3")
             return n
 
-        monkeypatch.setitem(_PREDICTORS, "conj2", lambda: stub)
+        monkeypatch.setitem(_PREDICTORS, "conj2", lambda: lambda lo, hi: map(stub, range(lo, hi)))
         with pytest.raises(RuntimeError):
             main(["predict", "--predictor", "conj2", "--n", "0..100000000"])
         assert capsys.readouterr().out.splitlines() == ["0 0", "1 1", "2 2"]
@@ -155,15 +172,18 @@ class TestPredict:
     @pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
     @pytest.mark.parametrize("predictor, p", [("thm4-rec", "3"), ("thm4-digits", "3"), ("conj1", "3"),
                                               ("thm4-rec", "1000003"), ("thm4-digits", "1000003")])
-    def test_range_forms_print_what_pointwise_prints(self, capsys, monkeypatch, predictor, p, fmt):
+    def test_range_forms_print_what_pointwise_prints(self, capsys, predictor, p, fmt):
         # 59000..59100 crosses 3**10, where predict cuts its range-form blocks;
         # at p = 1000003 the range forms must not allocate a list of p entries
         argv = ["--no-timestamp", "--format", fmt, "predict", "--predictor", predictor,
                 "--p", p, "--n", "59000..59100"]
-        streamed = run(capsys, *argv)
-        monkeypatch.setattr(cli, "_RANGE_FORMS", {})  # every predictor row by row
-        assert streamed == run(capsys, *argv)
-        assert streamed[0] == 0 and len(streamed[1].splitlines()) == 101 + (fmt == "csv")
+        pointwise = {"thm4-rec": predict_by_recurrence, "thm4-digits": predict_vp_legendre_at_p_digits,
+                     "conj1": lambda p, n: predict_b_conjecture1(n)}[predictor]
+        rows = [(n, str(pointwise(Prime(int(p)), n))) for n in range(59000, 59101)]
+        lines = {"text": [f"{n} {v}" for n, v in rows],
+                 "csv": ["n,predicted"] + [f"{n},{v}" for n, v in rows],
+                 "jsonl": [json.dumps({"n": n, "predicted": v}) for n, v in rows]}[fmt]
+        assert run(capsys, *argv) == (0, "".join(line + "\n" for line in lines), "")
 
 
 # the options each predictor requires, as its usage error names them
@@ -469,7 +489,7 @@ class TestFaultsAreNotUsageErrors:
         def fault(n):
             raise ValueError("predictor fault")
 
-        monkeypatch.setitem(_PREDICTORS, "conj1", lambda: fault)
+        monkeypatch.setitem(_PREDICTORS, "conj1", lambda: lambda lo, hi: map(fault, range(lo, hi)))
         with pytest.raises(ValueError, match="predictor fault") as raised:
             main(["predict", "--predictor", "conj1", "--n", "0..3"])
         assert type(raised.value) is ValueError

@@ -220,6 +220,13 @@ class TestDispatch:
             assert report.theorem_id == tid
 
 
+# the offsets of test_conj1_digits_mismatch_in_any_block: from lo = 5, with
+# blocks cut at the multiples of 3**10, the range's first index, the last of the
+# first block, the first and three inner ones of the second, and the range's
+# last, in the third
+_BLOCK_OFFSETS = [0, 3**10 - 6, 3**10 - 5, 3**10 - 1, 3**10, 3**10 + 7, 2 * 3**10 + 10]
+
+
 class TestMismatchText:
     """One forced mismatch per comparison shape, by replacing a name in verify."""
 
@@ -267,6 +274,53 @@ class TestMismatchText:
         with unlimited_int_digits():
             assert m.detail == f"value={cube_sum_2k(5300)}"
         assert len(m.detail) > 4300
+
+    @staticmethod
+    def _bump_range_form(monkeypatch, name, bad):
+        # the range form named ``name`` in verify, with its value at index ``bad`` raised by 1
+        import legval.verify as verify
+
+        original = getattr(verify, name)
+
+        def fake(*args):
+            start, stop = args[-2:]
+            values = original(*args)
+            if start <= bad < stop:
+                values[bad - start] += 1
+            return values
+
+        monkeypatch.setattr(verify, name, fake)
+
+    @pytest.mark.parametrize("offset", _BLOCK_OFFSETS)
+    @pytest.mark.parametrize("name, bumped", [("predict_vp_legendre_at_p_digits_range", "digits"),
+                                              ("predict_by_recurrence_range", "recurrence")])
+    def test_thm4_range_form_mismatch_in_any_block(self, monkeypatch, name, bumped, offset):
+        # thm4 reads its digit and recurrence forms a block at a time, as conj1 does
+        from legval.predictors import predict_vp_legendre_at_p_cases
+
+        lo, block = 5, 3**10
+        bad = lo + offset
+        self._bump_range_form(monkeypatch, name, bad)
+        report = verify_thm4(Prime(3), lo, lo + 2 * block + 10)
+        v = predict_vp_legendre_at_p_cases(Prime(3), bad)
+        predicted = {"digits": f"cases={v} digits={v + 1} recurrence={v}",
+                     "recurrence": f"cases={v} digits={v} recurrence={v + 1}"}[bumped]
+        assert report.status == "fail"
+        assert report.checked == 2 * block + 11
+        assert report.mismatches == [Mismatch(bad, predicted, str(v))]
+
+    @pytest.mark.parametrize("offset", _BLOCK_OFFSETS)
+    def test_conj1_oracle_mismatch_in_any_block(self, monkeypatch, offset):
+        from legval.predictors import predict_b_conjecture1
+
+        lo, block = 5, 3**10
+        bad = lo + offset
+        self._bump_range_form(monkeypatch, "predict_b_conjecture1_range", bad)
+        report = verify_conj1(lo, lo + 2 * block + 10, against="oracle")
+        b = predict_b_conjecture1(bad)
+        assert report.status == "counterexample-found"
+        assert report.checked == 2 * block + 11
+        assert report.mismatches == [Mismatch(bad, str(b + 1), str(b))]
 
     @pytest.mark.parametrize("offset", [0, 3**10 - 6, 3**10 - 5, 3**10 - 1, 3**10, 3**10 + 7, 2 * 3**10 + 10])
     def test_conj1_digits_mismatch_in_any_block(self, monkeypatch, offset):
