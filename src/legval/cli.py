@@ -38,6 +38,7 @@ from .miner import (
     DEFAULT_MIN_SUPPORT,
     ValuationTable,
     build_table,
+    check_mine_options,
     default_c_bound,
     estimate_kernel_rank,
     format_relation,
@@ -210,6 +211,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         raise UsageError("--max-e must be >= 0")
     N = args.N if args.N is not None else int(p) ** args.max_e * args.min_support * 4
     c_bound = args.c_bound if args.c_bound is not None else default_c_bound(p)
+    check_mine_options(p, N, args.max_e, args.min_support, c_bound)
     table = _cached_table(args, spec, p, N)
     mined = mine_relations(table, args.max_e, args.min_support, c_bound=c_bound)
     meta = (

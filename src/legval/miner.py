@@ -48,6 +48,7 @@ __all__ = [
     "format_relation",
     "default_c_bound",
     "kernel_rank_last_index",
+    "check_mine_options",
     "DEFAULT_MIN_SUPPORT",
 ]
 
@@ -235,6 +236,21 @@ def default_c_bound(p: Prime) -> int:
     return 2 * int(p)
 
 
+def check_mine_options(p: Prime, N: int, max_e: int, min_support: int, c_bound: int) -> None:
+    """Raises the ``UsageError`` that ``mine_relations`` raises on a table of
+    0..N at p, or that ``build_table`` raises for such a table, if any."""
+    if max_e < 0:
+        raise UsageError("max_e must be >= 0")
+    if N < 0:
+        raise UsageError("table length must be >= 0")
+    if min_support < 1:
+        raise UsageError("min_support must be >= 1")
+    if c_bound < 0:
+        raise UsageError("c_bound must be >= 0")
+    if (N + 1) // p**max_e < min_support:  # the last level-max_e class: n <= N with p**max_e | n + 1
+        raise UsageError(f"table too short: level-{max_e} classes have fewer than {min_support} indices")
+
+
 def mine_relations(
     table: ValuationTable,
     max_e: int,
@@ -251,21 +267,11 @@ def mine_relations(
     with an infinite entry on either side are skipped and tallied.  Each
     level's classes are sliced once, when the search reaches that level.
     """
-    if max_e < 0:
-        raise UsageError("max_e must be >= 0")
-    if min_support < 1:
-        raise UsageError("min_support must be >= 1")
     p = table.p
     if c_bound is None:
         c_bound = default_c_bound(p)
-    if c_bound < 0:
-        raise UsageError("c_bound must be >= 0")
+    check_mine_options(p, table.N, max_e, min_support, c_bound)
     values = table.values
-    deepest = p**max_e
-    if len(values[deepest - 1::deepest]) < min_support:
-        raise UsageError(
-            f"table too short: level-{max_e} classes have fewer than {min_support} indices"
-        )
     classes: list[list[tuple[int | float, ...]]] = []
     accepted: list[MinedRelation] = []
     frontier = [0]  # offsets i of the unexplained classes at level e

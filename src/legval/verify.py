@@ -4,10 +4,11 @@ Each campaign sweeps an inclusive index range, compares a predictor with the
 independently computed exact valuation (or two independent exact evaluations
 with each other), and returns a ``VerificationReport`` listing every mismatch.
 Exact valuations come from streams, read as each index is checked, so no
-campaign holds a table (thm6 reads n and p*n + a from two), and thm4's digit
-and recurrence forms and conj1's b are read from their range forms one block
-of ``_BLOCK`` indices at a time, from any start.  Open conjectures report a
-mismatch as ``counterexample-found``, not ``fail``.
+campaign holds a table (thm6 reads n and p*n + a from two).  thm3, thm4, thm5,
+conj1, conj2 and strauss are each one ``_compare`` of range forms, a block of
+``_BLOCK`` indices at a time from any start: their ``_PREDICTORS`` against the
+stream (conj1 ``--against digits``: thm4's digit form).  Open conjectures report
+a mismatch as ``counterexample-found``, not ``fail``.
 A bad input or a violated hypothesis raises ``UsageError`` where it is checked.
 ``_CAMPAIGNS`` and ``_PREDICTORS`` map the ids of ``legval verify`` and
 ``legval predict`` to their campaigns and to the builders of the predictors'
@@ -21,7 +22,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, product, repeat, starmap
+from itertools import chain, islice, product, starmap
 from math import comb
 
 from .arith import Prime, UsageError, digit_sum, unlimited_int_digits, vp_int, vp_rat
@@ -33,7 +34,6 @@ from .predictors import (
     predict_cube_sum_v3,
     predict_strauss_shallit,
     predict_vp_Q,
-    predict_vp_cigler,
     predict_vp_legendre_at_2,
     predict_vp_legendre_at_p_cases,
     predict_vp_legendre_at_p_digits_range,
@@ -175,39 +175,52 @@ def _valuations(spec: SequenceSpec, p: Prime, indices: range) -> Iterator[tuple[
     return zip(indices, islice(vals, 0, None, indices.step), strict=True)
 
 
+def _streamed(spec: SequenceSpec, p: Prime, indices: range) -> Callable[[int, int], Iterator]:
+    """The range form of the valuations at ``indices`` (step 1) from one stream, read in
+    order: the next hi - lo values, and at the end all that are left, for a strict zip."""
+    vals = iter(iter_sequence_valuations(spec, p, indices.stop, indices.start))
+    return lambda lo, hi: islice(vals, hi - lo if hi < indices.stop else None)
+
+
+def _compare(indices: range, actual: Callable, *predicted: Callable, names: tuple[str, ...] = ()
+             ) -> Iterator[Mismatch]:
+    """The mismatches of the range forms ``predicted`` against ``actual`` at
+    ``indices``, a range of step 1, read a ``_blocks`` piece at a time: a piece
+    whose lists all equal is skipped, any other walked, and a side one value
+    short raises ``ValueError``.  With ``names``, predictions print as ``name=value``."""
+    for lo, hi in _blocks(indices.start, indices.stop):
+        want, *got = actual(lo, hi), *(form(lo, hi) for form in predicted)
+        if not all(values == want for values in got):  # never all for a lazy side
+            for n, row in enumerate(zip(want, *got, strict=True), lo):
+                if row.count(row[0]) != len(row):
+                    values = dict(zip(names, row[1:])) if names else row[1]
+                    yield Mismatch(n, _side_text(values), str(row[0]))
+        del want, got  # one piece's lists at a time: dropped before the next is made
+
+
 def verify_thm4(p: Prime, lo: int, hi: int) -> VerificationReport:
     """All three predictors for vp(P_n(p)), odd p, against the exact oracle."""
     p = _require_odd(p, "thm4")
-    params = _range_params(lo, hi, p=str(int(p)))
-    indices = range(lo, hi + 1)
-    rows = zip(_valuations(SequenceSpec.legendre(p), p, indices),
-               map(predict_vp_legendre_at_p_cases, repeat(p), indices),
-               _predictions(partial(predict_vp_legendre_at_p_digits_range, p), indices),
-               _predictions(partial(predict_by_recurrence_range, p), indices), strict=True)
-    # the ints are compared first; the dict of named values is built for a mismatch only
-    return _report("thm4", params, len(indices), (
-        _differ(n, {"cases": c, "digits": d, "recurrence": f}, actual)
-        for (n, actual), c, d, f in rows if not c == d == f == actual))
+    params, indices = _range_params(lo, hi, p=str(int(p))), range(lo, hi + 1)
+    return _report("thm4", params, len(indices), _compare(
+        indices, _streamed(SequenceSpec.legendre(p), p, indices),
+        *(_PREDICTORS[key](p) for key in ("thm4", "thm4-digits", "thm4-rec")),
+        names=("cases", "digits", "recurrence")))
 
 
 def verify_thm5(lo: int, hi: int) -> VerificationReport:
     """The 2-adic formula for vp(P_n(2)) against the exact oracle."""
-    params = _range_params(lo, hi)
-    return _report("thm5", params, hi - lo + 1, (_differ(n, predict_vp_legendre_at_2(n), actual)
-        for n, actual in _valuations(SequenceSpec.legendre(2), Prime(2), range(lo, hi + 1))))
+    params, indices = _range_params(lo, hi), range(lo, hi + 1)
+    return _report("thm5", params, len(indices), _compare(
+        indices, _streamed(SequenceSpec.legendre(2), Prime(2), indices), _PREDICTORS["thm5"]()))
 
 
 def verify_thm3(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport:
     """Both general predictors for vp(P_n(r)), vp(r) >= 1, against the oracle."""
-    ctx = PredictionContext(p, r)
-    params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
-    indices = range(lo, hi + 1)
-    rows = zip(_valuations(SequenceSpec.legendre(r), p, indices),
-               map(predict_vp_legendre_general, repeat(ctx), indices),
-               map(predict_vp_legendre_general_oneline, repeat(ctx), indices), strict=True)
-    return _report("thm3", params, len(indices), (
-        _differ(n, {"cases": c, "oneline": o}, actual)
-        for (n, actual), c, o in rows if not c == o == actual))
+    forms = _PREDICTORS["thm3"](p, r), _PREDICTORS["thm3-oneline"](p, r)
+    params, indices = _range_params(lo, hi, p=str(int(p)), r=str(Fraction(r))), range(lo, hi + 1)
+    return _report("thm3", params, len(indices), _compare(
+        indices, _streamed(SequenceSpec.legendre(r), p, indices), *forms, names=("cases", "oneline")))
 
 
 def verify_thm6(p: Prime, lo: int, hi: int) -> VerificationReport:
@@ -218,7 +231,7 @@ def verify_thm6(p: Prime, lo: int, hi: int) -> VerificationReport:
     children = zip(*[_valuations(spec, p, range(q * lo, q * hi + q))] * q)  # p*n + a, p at a time
     return _report("thm6", params, (hi - lo + 1) * q, (_differ(
         m, recurrence_step(p, f_n, n, a), actual, detail=f"n={n} a={a}")
-        for (n, f_n), kids in zip(_valuations(spec, p, range(lo, hi + 1)), children)
+        for (n, f_n), kids in zip(_valuations(spec, p, range(lo, hi + 1)), children, strict=True)
         for a, (m, actual) in enumerate(kids)))
 
 
@@ -241,42 +254,28 @@ def verify_conj1(lo: int, hi: int, against: str = "oracle") -> VerificationRepor
     Delannoy oracle or against the digit formula (fast, for huge ranges)."""
     if against not in CONJ1_AGAINST:
         raise UsageError(f"conj1 comparison must be {' or '.join(map(repr, CONJ1_AGAINST))}, got {against!r}")
-    params = _range_params(lo, hi, against=against)
-    p3, indices = Prime(3), range(lo, hi + 1)
-    if against == "oracle":
-        rows = zip(_valuations(SequenceSpec.delannoy(), p3, indices),
-                   _predictions(predict_b_conjecture1_range, indices), strict=True)
-        return _report("conj1", params, len(indices), (_differ(i, b, actual) for (i, actual), b in rows))
-
-    def block_mismatches(a: int, z: int) -> list[Mismatch | None]:
-        # the two lists are compared whole, walked only where they differ, and
-        # dropped on return, so one block's lists are held at a time
-        bs, ds = predict_b_conjecture1_range(a, z), predict_vp_legendre_at_p_digits_range(p3, a, z)
-        if bs == ds:
-            return []
-        return [_differ(i, b, d) for i, b, d in zip(range(a, z), bs, ds, strict=True) if b != d]
-
-    blocks = starmap(block_mismatches, _blocks(lo, hi + 1))
-    return _report("conj1", params, len(indices), chain.from_iterable(blocks))
+    params, indices = _range_params(lo, hi, against=against), range(lo, hi + 1)
+    actual = (_streamed(SequenceSpec.delannoy(), Prime(3), indices) if against == "oracle"
+              else _PREDICTORS["thm4-digits"](Prime(3)))
+    return _report("conj1", params, len(indices), _compare(indices, actual, _PREDICTORS["conj1"]()))
 
 
 def verify_conj2(lo: int, hi: int) -> VerificationReport:
     """Open conjecture: digit formula for v3 of sum C(n,k)**3 * 2**k.  A
     mismatch dumps the full exact integer, summed directly, for scrutiny."""
-    params = _range_params(lo, hi)
-    mismatches = (_differ(n, predict_cube_sum_v3(n), actual)
-                  for n, actual in _valuations(SequenceSpec.cube2k(), Prime(3), range(lo, hi + 1)))
-    return _report("conj2", params, hi - lo + 1, (
-        m and replace(m, detail=f"value={cube_sum_2k(m.n)}") for m in mismatches))
+    params, indices = _range_params(lo, hi), range(lo, hi + 1)
+    mismatches = _compare(indices, _streamed(SequenceSpec.cube2k(), Prime(3), indices), _PREDICTORS["conj2"]())
+    return _report("conj2", params, len(indices), (
+        replace(m, detail=f"value={cube_sum_2k(m.n)}") for m in mismatches))
 
 
 def verify_strauss(lo: int, hi: int) -> VerificationReport:
     """v3 of partial sums of central binomials vs v3(C(2n,n)) + 2*v3(n)."""
     if lo < 1:
         raise UsageError("strauss is defined for n >= 1 (the n = 0 sum is zero)")
-    params = _range_params(lo, hi)
-    return _report("strauss", params, hi - lo + 1, (_differ(n, predict_strauss_shallit(n), actual)
-        for n, actual in _valuations(SequenceSpec.dsum(), Prime(3), range(lo, hi + 1))))
+    params, indices = _range_params(lo, hi), range(lo, hi + 1)
+    return _report("strauss", params, len(indices), _compare(
+        indices, _streamed(SequenceSpec.dsum(), Prime(3), indices), _PREDICTORS["strauss"]()))
 
 
 def verify_lemma6(p: Prime, lo: int, hi: int) -> VerificationReport:
@@ -370,7 +369,8 @@ CONJ1_AGAINST = ("oracle", "digits")
 
 # predictor id: the builder of its range form f(lo, hi), the values at lo .. hi - 1
 # (``_each`` of its per-index form where it has no other), whose parameters are the
-# options it requires.  Builders look predictor names up here when a command runs:
+# options it requires.  ``predict`` and every campaign that calls ``_compare`` take
+# their predictors from here, by id.  Builders look predictor names up when called:
 # bench/tracing.py counts calls to these names, and would count 0 from predictors.py.
 _PREDICTORS = {
     "thm3": lambda p, r: _each(partial(predict_vp_legendre_general, PredictionContext(p, r))),
@@ -380,7 +380,7 @@ _PREDICTORS = {
     "thm4-rec": lambda p: partial(predict_by_recurrence_range, p),
     "thm5": lambda: _each(predict_vp_legendre_at_2),
     "q": lambda p, r: _each(partial(predict_vp_Q, PredictionContext(p, r))),
-    "cigler": lambda p: _each(partial(predict_vp_cigler, p)),
+    "cigler": lambda p: partial(predict_vp_legendre_at_p_digits_range, p),
     "conj1": lambda: predict_b_conjecture1_range,
     "conj2": lambda: _each(predict_cube_sum_v3),
     "strauss": lambda: _each(predict_strauss_shallit),

@@ -39,7 +39,7 @@ def test_install_then_uninstall_restores_every_patch(tracing, capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert len(patched) == 37
+    assert len(patched) == 36
     assert all(owner.__dict__[attr] is original for owner, attr, original in patched)
     # lemma9 checks the odd n in 0..6 and thm6 the 3n + a for n in 0..2, both
     # on streams with no table; predict runs 5 indices; rank builds a table of

@@ -15,7 +15,12 @@ from legval import cli
 from legval.arith import Prime, UsageError
 from legval.cli import main
 from legval.miner import ValuationTable, build_table
-from legval.predictors import predict_b_conjecture1, predict_by_recurrence, predict_vp_legendre_at_p_digits
+from legval.predictors import (
+    predict_b_conjecture1,
+    predict_by_recurrence,
+    predict_vp_cigler,
+    predict_vp_legendre_at_p_digits,
+)
 from legval.sequences import SequenceSpec
 from legval.verify import _PREDICTORS
 
@@ -170,15 +175,16 @@ class TestPredict:
         assert capsys.readouterr().out.splitlines() == ["0 0", "1 1", "2 2"]
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
-    @pytest.mark.parametrize("predictor, p", [("thm4-rec", "3"), ("thm4-digits", "3"), ("conj1", "3"),
-                                              ("thm4-rec", "1000003"), ("thm4-digits", "1000003")])
+    @pytest.mark.parametrize("predictor, p", [("thm4-rec", "3"), ("thm4-digits", "3"), ("cigler", "3"), ("conj1", "3"),
+                                              ("thm4-rec", "1000003"), ("thm4-digits", "1000003"),
+                                              ("cigler", "1000003")])
     def test_range_forms_print_what_pointwise_prints(self, capsys, predictor, p, fmt):
         # 59000..59100 crosses 3**10, where predict cuts its range-form blocks;
         # at p = 1000003 the range forms must not allocate a list of p entries
         argv = ["--no-timestamp", "--format", fmt, "predict", "--predictor", predictor,
                 "--p", p, "--n", "59000..59100"]
         pointwise = {"thm4-rec": predict_by_recurrence, "thm4-digits": predict_vp_legendre_at_p_digits,
-                     "conj1": lambda p, n: predict_b_conjecture1(n)}[predictor]
+                     "cigler": predict_vp_cigler, "conj1": lambda p, n: predict_b_conjecture1(n)}[predictor]
         rows = [(n, str(pointwise(Prime(int(p)), n))) for n in range(59000, 59101)]
         lines = {"text": [f"{n} {v}" for n, v in rows],
                  "csv": ["n,predicted"] + [f"{n},{v}" for n, v in rows],
@@ -475,6 +481,23 @@ class TestBounds:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("options, message", [
+        (["--N", "2000", "--min-support", "0"], "min_support must be >= 1"),
+        (["--N", "2000", "--c-bound", "-1"], "c_bound must be >= 0"),
+        (["--N", "100"], "table too short: level-2 classes have fewer than 50 indices"),
+        (["--N", "-1", "--min-support", "0"], "table length must be >= 0"),
+    ])
+    def test_mine_bad_option_exits_two_before_a_table(self, capsys, monkeypatch, tmp_path, options, message):
+        # a bad option is rejected before a table is built or written to the cache
+        def build_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(cli, "build_table", build_table)
+        cache = tmp_path / "tables"
+        argv = ["--cache", str(cache), "mine", "--seq", "dsum", "--p", "3", *options]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert not cache.exists()
 
     def test_mine_negative_length_with_warm_cache_exits_two(self, capsys, tmp_path):
         mine = ["--cache", str(tmp_path), "mine", "--seq", "dsum", "--p", "3", "--N"]

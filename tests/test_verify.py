@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import chain, islice
 
 import pytest
 
 from legval.arith import Prime
 from legval.verify import (
+    _PREDICTORS,
     CONJECTURE_IDS,
     THEOREM_IDS,
     Mismatch,
@@ -154,6 +156,33 @@ class TestStreamedCampaigns:
         with pytest.raises(ValueError):
             campaign()
 
+    @pytest.mark.parametrize("campaign", [lambda: verify_thm5(0, 50), lambda: verify_strauss(1, 50),
+                                          lambda: verify_conj1(0, 50), lambda: verify_thm6(Prime(3), 0, 5)],
+                             ids=["thm5", "strauss", "conj1", "thm6"])
+    def test_stream_that_runs_long_raises(self, monkeypatch, campaign):
+        # a stream with more values than its range is as wrong as a short one
+        from legval import verify
+
+        stream = verify.iter_sequence_valuations
+        monkeypatch.setattr(verify, "iter_sequence_valuations", lambda *args: chain(stream(*args), [0]))
+        with pytest.raises(ValueError):
+            campaign()
+
+    def test_thm6_children_stream_that_ends_early_raises(self, monkeypatch):
+        # each parent n is paired with its children p*n + a, so a parent whose
+        # children never came must not be counted as checked
+        from legval import verify
+
+        valuations = verify._valuations
+
+        def short_children(spec, p, indices):
+            pairs = valuations(spec, p, indices)
+            return islice(pairs, len(indices) - 1) if len(indices) == 18 else pairs  # the 3 * 6 children
+
+        monkeypatch.setattr(verify, "_valuations", short_children)
+        with pytest.raises(ValueError):
+            verify_thm6(Prime(3), 0, 5)
+
     @pytest.mark.parametrize("lo,hi,checked", [(1, 1, 0), (0, 0, 1), (1, 2, 1), (3, 9, 3)])
     def test_even_indices_of_short_ranges(self, lo, hi, checked):
         # lemma8 reads every second index of the q stream; a range with no
@@ -218,6 +247,61 @@ class TestDispatch:
             report = run_verification(tid, lo, hi, **kwargs.get(tid, {}))
             assert report.status == "pass", tid
             assert report.theorem_id == tid
+
+
+# campaign: how to run it, and the _PREDICTORS ids it reads with their builders'
+# arguments and the names its mismatches print them under (none for one id)
+_READERS = {
+    "thm3": (lambda: verify_thm3(Prime(3), Fraction(9), 0, 10),
+             {"thm3": (Prime(3), Fraction(9)), "thm3-oneline": (Prime(3), Fraction(9))}, ("cases", "oneline")),
+    "thm4": (lambda: verify_thm4(Prime(3), 0, 10),
+             {"thm4": (Prime(3),), "thm4-digits": (Prime(3),), "thm4-rec": (Prime(3),)},
+             ("cases", "digits", "recurrence")),
+    "thm5": (lambda: verify_thm5(0, 10), {"thm5": ()}, ()),
+    "conj1-oracle": (lambda: verify_conj1(0, 10, against="oracle"), {"conj1": ()}, ()),
+    "conj1-digits": (lambda: verify_conj1(0, 10, against="digits"), {"conj1": ()}, ()),
+    "conj2": (lambda: verify_conj2(0, 10), {"conj2": ()}, ()),
+    "strauss": (lambda: verify_strauss(1, 10), {"strauss": ()}, ()),
+}
+
+
+class TestCampaignsReadPredictors:
+    """Each campaign that compares range forms finds its predictors in ``_PREDICTORS``."""
+
+    @pytest.mark.parametrize("campaign, key", [(c, key) for c, (_, ids, _) in _READERS.items() for key in ids])
+    def test_bumped_predictor_is_a_mismatch(self, monkeypatch, campaign, key):
+        run, ids, names = _READERS[campaign]
+        bad = 5
+        values = {k: next(iter(_PREDICTORS[k](*args)(bad, bad + 1))) for k, args in ids.items()}
+        make = _PREDICTORS[key]
+
+        def bumped(*args):
+            form = make(*args)
+            return lambda lo, hi: (v + (n == bad) for n, v in zip(range(lo, hi), form(lo, hi)))
+
+        monkeypatch.setitem(_PREDICTORS, key, bumped)
+        report = run()
+        values[key] += 1
+        predicted = " ".join(f"{name}={values[k]}" for name, k in zip(names, ids)) or str(values[key])
+        assert report.status == ("counterexample-found" if campaign.startswith("conj") else "fail")
+        assert [(m.n, m.predicted, m.actual) for m in report.mismatches] == [(bad, predicted, str(values[key] - 1))]
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["list", "lazy"])
+    @pytest.mark.parametrize("campaign", list(_READERS))
+    def test_range_form_one_value_short_raises(self, monkeypatch, campaign, lazy):
+        run, ids, _ = _READERS[campaign]
+        key = list(ids)[-1]
+        make = _PREDICTORS[key]
+
+        def short(*args):
+            form = make(*args)
+            if lazy:
+                return lambda lo, hi: islice(form(lo, hi), hi - lo - 1)
+            return lambda lo, hi: list(form(lo, hi))[:-1]
+
+        monkeypatch.setitem(_PREDICTORS, key, short)
+        with pytest.raises(ValueError):
+            run()
 
 
 # the offsets of test_conj1_digits_mismatch_in_any_block: from lo = 5, with
