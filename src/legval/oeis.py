@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .arith import Prime, UsageError, unlimited_int_digits
 from .sequences import SequenceSpec, iter_sequence_valuations, iter_sequence_values
-from .verify import VerificationReport, _differ, _report
+from .verify import VerificationReport, _mismatches, _report
 
 __all__ = ["BFileError", "BFileRecord", "parse_bfile", "oeis_check"]
 
@@ -82,13 +82,12 @@ def oeis_check(
         return VerificationReport("oeis-check", params, 0, [], "skipped")
     lo = records[0].index + offset
     hi = records[-1].index + offset
-    wanted = {rec.index + offset: rec for rec in records}
+    wanted = {rec.index + offset for rec in records}
     if p is not None:
         stream = iter_sequence_valuations(spec, p, hi + 1, lo)
     else:
         stream = iter_sequence_values(spec, hi + 1, lo)
+    ours = (value for n, value in zip(range(lo, hi + 1), stream, strict=True) if n in wanted)
     # an infinite valuation equals no int; str of a Fraction is its 'num/den' form
-    return _report("oeis-check", params, len(records), (
-        _differ(rec.index, rec.value, ours)
-        for n, ours in zip(range(lo, hi + 1), stream, strict=True)
-        if (rec := wanted.get(n)) is not None))
+    return _report("oeis-check", params, len(records), _mismatches(
+        (rec.index for rec in records), ours, (rec.value for rec in records)))

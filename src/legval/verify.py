@@ -4,11 +4,13 @@ Each campaign sweeps an inclusive index range, compares a predictor with the
 independently computed exact valuation (or two independent exact evaluations
 with each other), and returns a ``VerificationReport`` listing every mismatch.
 Exact valuations come from streams, read as each index is checked, so no
-campaign holds a table (thm6 reads n and p*n + a from two).  thm3, thm4, thm5,
-conj1, conj2 and strauss are each one ``_compare`` of range forms, a block of
-``_BLOCK`` indices at a time from any start: their ``_PREDICTORS`` against the
-stream (conj1 ``--against digits``: thm4's digit form).  Open conjectures report
-a mismatch as ``counterexample-found``, not ``fail``.
+campaign holds a table (thm6 reads n and p*n + a from two).  Every mismatch
+but lemma6's comes from one strict walk, ``_mismatches``, of the indices, the
+actual values and the predicted ones.  thm3, thm4, thm5, conj1, conj2 and
+strauss are each one ``_compare`` of range forms, which adds a skip of the
+``_BLOCK``-index blocks whose lists all agree: their ``_PREDICTORS`` against
+the stream (conj1 ``--against digits``: thm4's digit form).  Open conjectures
+report a mismatch as ``counterexample-found``, not ``fail``.
 A bad input or a violated hypothesis raises ``UsageError`` where it is checked.
 ``_CAMPAIGNS`` and ``_PREDICTORS`` map the ids of ``legval verify`` and
 ``legval predict`` to their campaigns and to the builders of the predictors'
@@ -22,8 +24,9 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, product, starmap
+from itertools import chain, islice, starmap
 from math import comb
+from operator import itemgetter
 
 from .arith import Prime, UsageError, digit_sum, unlimited_int_digits, vp_int, vp_rat
 from .miner import build_table  # not called here; bench/tracing.py patches verify.build_table
@@ -103,12 +106,12 @@ DEFAULT_RATIONAL_POINTS: tuple[Fraction, ...] = (
 
 
 def _report(theorem_id: str, parameters: dict[str, str], checked: int,
-            mismatches: Iterable[Mismatch | None]) -> VerificationReport:
-    """The report of a campaign.  ``mismatches`` may hold ``None`` for each
-    case that agreed, so a campaign can pass one ``_differ`` per case.  Their
+            mismatches: Iterable[Mismatch]) -> VerificationReport:
+    """The report of a campaign.  ``mismatches`` come from ``_mismatches``
+    (lemma6's from its own check), and ``_compare`` adds the block skip; their
     text holds exact values, so they are read with the digit limit lifted."""
     with unlimited_int_digits():
-        mismatches = [m for m in mismatches if m is not None]
+        mismatches = list(mismatches)
     if not mismatches:
         status = "pass"
     elif theorem_id in CONJECTURE_IDS:
@@ -116,25 +119,6 @@ def _report(theorem_id: str, parameters: dict[str, str], checked: int,
     else:
         status = "fail"
     return VerificationReport(theorem_id, parameters, checked, mismatches, status)
-
-
-def _differ(n: int, predicted, actual, detail: str = "") -> Mismatch | None:
-    """``None`` when every predicted value equals every actual one, else the
-    mismatch.  Several values on one side come as a dict of named values and
-    print as ``name=value``."""
-    if predicted == actual:  # a dict side equals no scalar, and no dict with other names
-        return None
-    values = [v for side in (predicted, actual)
-              for v in (side.values() if isinstance(side, dict) else (side,))]
-    if all(v == values[0] for v in values):
-        return None
-    return Mismatch(n, _side_text(predicted), _side_text(actual), detail)
-
-
-def _side_text(side) -> str:
-    if isinstance(side, dict):
-        return " ".join(f"{name}={value}" for name, value in side.items())
-    return str(side)
 
 
 def _require_odd(p: Prime, theorem_id: str) -> Prime:
@@ -169,10 +153,13 @@ def _each(fn: Callable[[int], object]) -> Callable[[int, int], Iterator]:
     return lambda lo, hi: map(fn, range(lo, hi))
 
 
-def _valuations(spec: SequenceSpec, p: Prime, indices: range) -> Iterator[tuple[int, int | float]]:
-    """(n, vp at n) for each n of ``indices``, a range of step 1 or 2, from one stream."""
+def _valuations(spec: SequenceSpec, p: Prime, indices: range) -> Iterator[int | float]:
+    """vp at each n of ``indices``, a range of step 1 or 2, from one stream of
+    [start, stop), paired with that whole range strictly: a value missing or
+    extra at any offset raises ``ValueError``, not only at the indices read."""
     vals = iter_sequence_valuations(spec, p, indices.stop, indices.start)
-    return zip(indices, islice(vals, 0, None, indices.step), strict=True)
+    whole = zip(range(indices.start, indices.stop), vals, strict=True)
+    return islice(map(itemgetter(1), whole), 0, None, indices.step)
 
 
 def _streamed(spec: SequenceSpec, p: Prime, indices: range) -> Callable[[int, int], Iterator]:
@@ -182,19 +169,27 @@ def _streamed(spec: SequenceSpec, p: Prime, indices: range) -> Callable[[int, in
     return lambda lo, hi: islice(vals, hi - lo if hi < indices.stop else None)
 
 
+def _mismatches(indices: Iterable[int], actual: Iterable, *predicted: Iterable,
+                names: tuple[str, ...] = ()) -> Iterator[Mismatch]:
+    """A ``Mismatch`` at each index where the ``predicted`` values differ from
+    the ``actual`` one, walking all sides with a strict zip: a side one value
+    short or long raises ``ValueError``.  With ``names``, predictions print as
+    ``name=value``."""
+    for n, row in zip(indices, zip(actual, *predicted, strict=True), strict=True):
+        if row.count(row[0]) != len(row):
+            predicted = " ".join(f"{name}={v}" for name, v in zip(names, row[1:])) if names else str(row[1])
+            yield Mismatch(n, predicted, str(row[0]))
+
+
 def _compare(indices: range, actual: Callable, *predicted: Callable, names: tuple[str, ...] = ()
              ) -> Iterator[Mismatch]:
-    """The mismatches of the range forms ``predicted`` against ``actual`` at
+    """The ``_mismatches`` of the range forms ``predicted`` against ``actual`` at
     ``indices``, a range of step 1, read a ``_blocks`` piece at a time: a piece
-    whose lists all equal is skipped, any other walked, and a side one value
-    short raises ``ValueError``.  With ``names``, predictions print as ``name=value``."""
+    whose lists all equal is skipped, and any other walked."""
     for lo, hi in _blocks(indices.start, indices.stop):
         want, *got = actual(lo, hi), *(form(lo, hi) for form in predicted)
         if not all(values == want for values in got):  # never all for a lazy side
-            for n, row in enumerate(zip(want, *got, strict=True), lo):
-                if row.count(row[0]) != len(row):
-                    values = dict(zip(names, row[1:])) if names else row[1]
-                    yield Mismatch(n, _side_text(values), str(row[0]))
+            yield from _mismatches(range(lo, hi), want, *got, names=names)
         del want, got  # one piece's lists at a time: dropped before the next is made
 
 
@@ -228,11 +223,12 @@ def verify_thm6(p: Prime, lo: int, hi: int) -> VerificationReport:
     p = _require_odd(p, "thm6")
     params = _range_params(lo, hi, p=str(int(p)))
     spec, q = SequenceSpec.legendre(p), int(p)
-    children = zip(*[_valuations(spec, p, range(q * lo, q * hi + q))] * q)  # p*n + a, p at a time
-    return _report("thm6", params, (hi - lo + 1) * q, (_differ(
-        m, recurrence_step(p, f_n, n, a), actual, detail=f"n={n} a={a}")
-        for (n, f_n), kids in zip(_valuations(spec, p, range(lo, hi + 1)), children, strict=True)
-        for a, (m, actual) in enumerate(kids)))
+    parents, children = range(lo, hi + 1), range(q * lo, q * hi + q)  # child p*n + a of parent n
+    steps = (recurrence_step(p, f_n, n, a)
+             for n, f_n in zip(parents, _valuations(spec, p, parents), strict=True) for a in range(q))
+    mismatches = _mismatches(children, _valuations(spec, p, children), steps)
+    return _report("thm6", params, len(children), (
+        replace(m, detail=f"n={m.n // q} a={m.n % q}") for m in mismatches))
 
 
 def verify_thm7(p: Prime, lo: int, hi: int) -> VerificationReport:
@@ -242,11 +238,11 @@ def verify_thm7(p: Prime, lo: int, hi: int) -> VerificationReport:
     alternating sum), so their agreement is a genuine cross-check.
     """
     p = _require_odd(p, "thm7")
-    params = _range_params(lo, hi, p=str(int(p)))
+    params, indices = _range_params(lo, hi, p=str(int(p))), range(lo, hi + 1)
     x = Fraction(int(p))
-    return _report("thm7", params, hi - lo + 1, (_differ(
-        n, vp_rat(p, cigler_eval(n, x)), vp_rat(p, legendre_eval_rodrigues(n, x)))
-        for n in range(lo, hi + 1)))
+    return _report("thm7", params, len(indices), _mismatches(
+        indices, (vp_rat(p, legendre_eval_rodrigues(n, x)) for n in indices),
+        (vp_rat(p, cigler_eval(n, x)) for n in indices)))
 
 
 def verify_conj1(lo: int, hi: int, against: str = "oracle") -> VerificationReport:
@@ -303,7 +299,7 @@ def verify_lemma6(p: Prime, lo: int, hi: int) -> VerificationReport:
             return None
         return Mismatch(m, f"{lhs} / {mid}", f"digit form {num}/(p-1)")
 
-    return _report("lemma6", params, hi - lo + 1, map(check, range(lo, hi + 1)))
+    return _report("lemma6", params, hi - lo + 1, filter(None, map(check, range(lo, hi + 1))))
 
 
 def _verify_q_parity(theorem_id: str, parity: int, p: Prime, r: Fraction,
@@ -311,8 +307,8 @@ def _verify_q_parity(theorem_id: str, parity: int, p: Prime, r: Fraction,
     ctx = PredictionContext(p, r)
     params = _range_params(lo, hi, p=str(int(p)), r=str(ctx.r))
     indices = range(lo + (lo + parity) % 2, hi + 1, 2)
-    return _report(theorem_id, params, len(indices), (_differ(n, predict_vp_Q(ctx, n), actual)
-        for n, actual in _valuations(SequenceSpec.q(r), p, indices)))
+    return _report(theorem_id, params, len(indices), _mismatches(
+        indices, _valuations(SequenceSpec.q(r), p, indices), (predict_vp_Q(ctx, n) for n in indices)))
 
 
 def verify_lemma8(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport:
@@ -328,21 +324,22 @@ def verify_lemma9(p: Prime, r: Fraction, lo: int, hi: int) -> VerificationReport
 def verify_eq_ma(lo: int, hi: int) -> VerificationReport:
     """Substitution identity M_n(x) = (2-x)**n * P_n(x/(2-x)) for x != 2."""
     points = tuple(x for x in DEFAULT_RATIONAL_POINTS if x != 2)
-    params = _range_params(lo, hi, points=",".join(str(x) for x in points))
-    return _report("eq-ma", params, len(points) * (hi - lo + 1), (_differ(
-        n, cigler_eval(n, x), (2 - x) ** n * legendre_eval_rodrigues(n, x / (2 - x)),
-        detail=f"x={x}") for x, n in product(points, range(lo, hi + 1))))
+    params, indices = _range_params(lo, hi, points=",".join(str(x) for x in points)), range(lo, hi + 1)
+    return _report("eq-ma", params, len(points) * len(indices), (
+        replace(m, detail=f"x={x}") for x in points for m in _mismatches(
+            indices, ((2 - x) ** n * legendre_eval_rodrigues(n, x / (2 - x)) for n in indices),
+            (cigler_eval(n, x) for n in indices))))
 
 
 def verify_formula_agreement(lo: int, hi: int) -> VerificationReport:
     """The three Legendre evaluation formulas agree exactly on a point set."""
     points = DEFAULT_RATIONAL_POINTS
-    params = _range_params(lo, hi, points=",".join(str(x) for x in points))
-    return _report("formula-agreement", params, len(points) * (hi - lo + 1), (_differ(n, {
-        "binomial": legendre_eval_binomial(n, x),
-        "rodrigues": legendre_eval_rodrigues(n, x),
-    }, {"square": legendre_eval_square_form(n, x)}, detail=f"x={x}")
-        for x, n in product(points, range(lo, hi + 1))))
+    params, indices = _range_params(lo, hi, points=",".join(str(x) for x in points)), range(lo, hi + 1)
+    return _report("formula-agreement", params, len(points) * len(indices), (
+        replace(m, actual=f"square={m.actual}", detail=f"x={x}") for x in points for m in _mismatches(
+            indices, (legendre_eval_square_form(n, x) for n in indices),
+            (legendre_eval_binomial(n, x) for n in indices), (legendre_eval_rodrigues(n, x) for n in indices),
+            names=("binomial", "rodrigues"))))
 
 
 _CAMPAIGNS: dict[str, Callable[..., VerificationReport]] = {

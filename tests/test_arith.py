@@ -21,7 +21,7 @@ from legval.arith import (
     vp_int,
     vp_rat,
 )
-from legval.verify import Mismatch, _differ
+from legval.verify import Mismatch, _mismatches
 
 
 def vp_oracle(p, n):
@@ -135,8 +135,8 @@ class TestPadicValLaws:
         assert (a < y) == (x < y) and (x < b) == (x < y)
         assert x < INF and INF != x and x != INF
         assert len({a, x}) == 1
-        assert _differ(n, x, a) is None and _differ(n, a, x) is None
-        assert _differ(n, x, INF) == Mismatch(n, str(x), "inf")
+        assert list(_mismatches([n], [x], [a])) == [] == list(_mismatches([n], [a], [x]))
+        assert list(_mismatches([n], [INF], [x])) == [Mismatch(n, str(x), "inf")]
         # a finite valuation is an int and INF the float infinity; both keep
         # is_infinite and value, which the benchmark harness reads
         assert isinstance(a, int) and type(a + 1) is int and type(a - b) is int

@@ -145,10 +145,18 @@ class TestStreamedCampaigns:
         assert (report.status, report.checked) == ("pass", 10**6 + 1)
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("campaign", [lambda: verify_thm5(0, 50), lambda: verify_thm6(Prime(3), 0, 5)],
-                             ids=["thm5", "thm6"])
+    # lemma8 and lemma9 read every second value of the q stream: with hi of
+    # both parities, the value short or extra falls at an even and an odd offset
+    _Q_PARITY_CAMPAIGNS = {f"{name}-0..{hi}": lambda fn=fn, hi=hi: fn(Prime(3), Fraction(3), 0, hi)
+                           for name, fn in (("lemma8", verify_lemma8), ("lemma9", verify_lemma9))
+                           for hi in (50, 51)}
+
+    @pytest.mark.parametrize("campaign", [lambda: verify_thm5(0, 50), lambda: verify_thm6(Prime(3), 0, 5),
+                                          *_Q_PARITY_CAMPAIGNS.values()],
+                             ids=["thm5", "thm6", *_Q_PARITY_CAMPAIGNS])
     def test_stream_that_ends_early_raises(self, monkeypatch, campaign):
-        # an index the stream never reached must not be counted as checked
+        # an index the stream never reached must not be counted as checked,
+        # and a stream that skips a value the campaign does not read is as wrong
         from legval import verify
 
         stream = verify.iter_sequence_valuations
@@ -157,8 +165,9 @@ class TestStreamedCampaigns:
             campaign()
 
     @pytest.mark.parametrize("campaign", [lambda: verify_thm5(0, 50), lambda: verify_strauss(1, 50),
-                                          lambda: verify_conj1(0, 50), lambda: verify_thm6(Prime(3), 0, 5)],
-                             ids=["thm5", "strauss", "conj1", "thm6"])
+                                          lambda: verify_conj1(0, 50), lambda: verify_thm6(Prime(3), 0, 5),
+                                          *_Q_PARITY_CAMPAIGNS.values()],
+                             ids=["thm5", "strauss", "conj1", "thm6", *_Q_PARITY_CAMPAIGNS])
     def test_stream_that_runs_long_raises(self, monkeypatch, campaign):
         # a stream with more values than its range is as wrong as a short one
         from legval import verify
@@ -176,8 +185,8 @@ class TestStreamedCampaigns:
         valuations = verify._valuations
 
         def short_children(spec, p, indices):
-            pairs = valuations(spec, p, indices)
-            return islice(pairs, len(indices) - 1) if len(indices) == 18 else pairs  # the 3 * 6 children
+            values = valuations(spec, p, indices)
+            return islice(values, len(indices) - 1) if len(indices) == 18 else values  # the 3 * 6 children
 
         monkeypatch.setattr(verify, "_valuations", short_children)
         with pytest.raises(ValueError):
@@ -339,6 +348,27 @@ class TestMismatchText:
         assert report.status == "fail"
         assert report.checked == 21
         assert report.mismatches == [Mismatch(7, "8", "1", detail="n=2 a=1")]
+
+    def test_thm7_cigler_side_prints_as_predicted(self, monkeypatch):
+        # vp(M_3(3)) = vp(63) = 2; with M_3 bumped to 64 the Cigler side reads 0
+        self._bump(monkeypatch, "cigler_eval", lambda n, x: n == 3)
+        report = verify_thm7(Prime(3), 0, 6)
+        assert report.status == "fail"
+        assert report.checked == 7
+        assert report.mismatches == [Mismatch(3, "0", "2")]
+
+    @pytest.mark.parametrize("campaign, bad, mismatch", [(verify_lemma8, 4, Mismatch(4, "8", "1")),
+                                                         (verify_lemma9, 5, Mismatch(5, "10", "3"))],
+                             ids=["lemma8", "lemma9"])
+    def test_q_prediction_prints_as_predicted(self, monkeypatch, campaign, bad, mismatch):
+        # predict_vp_Q is asked only at the campaign's parity, and its value is the predicted side
+        asked = []
+        self._bump(monkeypatch, "predict_vp_Q", lambda ctx, n: asked.append(n) or n == bad, by=7)
+        report = campaign(Prime(3), Fraction(9), 0, 9)
+        assert asked == list(range(bad % 2, 10, 2))
+        assert report.status == "fail"
+        assert report.checked == 5
+        assert report.mismatches == [mismatch]
 
     def test_conj2_dumps_value_as_counterexample(self, monkeypatch):
         self._bump(monkeypatch, "predict_cube_sum_v3", lambda n: n == 3, by=97)
